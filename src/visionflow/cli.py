@@ -59,6 +59,18 @@ def _parse_ids(text: str | None) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
 def _config_from_args(args, base: dict | None = None) -> RunConfig:
     overrides: dict = {}
     if getattr(args, "seed", None) is not None:
@@ -104,11 +116,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--input", help="scene or video descriptor JSON file")
     p.add_argument("--scene-seed", type=int, help="generate a scene instead of reading one")
-    p.add_argument("--scene-objects", type=int, default=3)
+    p.add_argument("--scene-objects", type=_int_at_least(0), default=3)
     p.add_argument("--boxes-file", help="ingest detections from a box JSON file")
     p.add_argument("--text-ids", help="comma-separated prompt token ids")
     p.add_argument("--answer-ids", help="comma-separated answer ids to score")
-    p.add_argument("--decode", type=int, default=0, help="greedy-decode N tokens")
+    p.add_argument("--decode", type=_int_at_least(0), default=0, help="greedy-decode N tokens")
     p.add_argument("--checkpoint", help="load trained parameters from this directory")
     p.add_argument("--nms-iou", type=float)
     p.add_argument("--score-floor", type=float)
@@ -117,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tags", help="synthetic | coco80 | file:PATH")
     p.add_argument("--fusion-strategy")
     p.add_argument("--merge")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="parallel per-frame encoding for video inputs")
     p.add_argument("--out", help="write the report JSON here (default stdout)")
 
@@ -162,17 +174,23 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_infer(args) -> int:
+    text_ids = [1, 2, 3, 4] if args.text_ids is None else _parse_ids(args.text_ids)
+    if not text_ids:
+        raise UsageError("--text-ids is empty; omit the flag for the default prompt 1,2,3,4")
+    answer_ids = None if args.answer_ids is None else _parse_ids(args.answer_ids)
+    if answer_ids == []:
+        raise UsageError("--answer-ids is empty; omit the flag to score nothing")
     cfg = _config_from_args(args)
     components = build_components(cfg)
     if args.checkpoint:
         _, state = load_checkpoint_state(args.checkpoint)
         restore_model(components.model, state)
-    text_ids = _parse_ids(args.text_ids) or [1, 2, 3, 4]
-    answer_ids = _parse_ids(args.answer_ids) or None
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if "frames" in payload:
+            if args.boxes_file:
+                raise UsageError("--boxes-file applies to single images, but --input names a video")
             frames = [SceneDescriptor.from_dict(f) for f in payload["frames"]]
             report = run_video(cfg, frames, text_ids, answer_ids, args.decode, components,
                                threads=args.threads)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +237,13 @@ class ObjectSpec:
     label: str
 
 
+# Largest scene height or width accepted from a descriptor. render_scene holds
+# an H*W*3 float64 canvas plus same-sized noise and clip copies: ~100 MB each
+# at 2048 x 2048, so an unchecked extent could exhaust memory before any model
+# code runs.
+MAX_SCENE_SIDE = 2048
+
+
 @dataclass(frozen=True)
 class SceneDescriptor:
     """Ground truth for one synthetic image: seed, extent, placed objects."""
@@ -262,16 +270,20 @@ class SceneDescriptor:
 
     @classmethod
     def from_dict(cls, obj: dict) -> SceneDescriptor:
-        objects = tuple(
-            ObjectSpec(float(o["x0"]), float(o["y0"]), float(o["x1"]), float(o["y1"]), str(o["label"]))
-            for o in obj.get("objects", [])
-        )
-        return cls(
-            seed=int(obj["seed"]),
-            height=int(obj.get("height", 256)),
-            width=int(obj.get("width", 256)),
-            objects=objects,
-        )
+        objects = []
+        for n, o in enumerate(obj.get("objects", [])):
+            coords = [float(o[k]) for k in ("x0", "y0", "x1", "y1")]
+            for key, value in zip(("x0", "y0", "x1", "y1"), coords):
+                if not math.isfinite(value):
+                    raise ValueError(f"scene objects[{n}].{key} must be finite, got {value}")
+            objects.append(ObjectSpec(*coords, str(o["label"])))
+        extent = {}
+        for key in ("height", "width"):
+            value = float(obj.get(key, 256))
+            if not (0 < value <= MAX_SCENE_SIDE and value == int(value)):
+                raise ValueError(f"scene {key} must be an integer in [1, {MAX_SCENE_SIDE}], got {value}")
+            extent[key] = int(value)
+        return cls(seed=int(obj["seed"]), objects=tuple(objects), **extent)
 
 
 def _boxes_overlap(a: ObjectSpec, b: ObjectSpec) -> float:

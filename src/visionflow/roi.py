@@ -1,15 +1,17 @@
 """Multi-scale pyramid assembly and per-box pooled feature extraction.
 
 Stages from the high-resolution encoder are bilinearly upsampled to the
-stride-4 grid and channel-concatenated; each detection is then read out of
-that pyramid with quantization-free bilinear sampling (boxes mapped to grid
-units by dividing by the pyramid stride, clipped, never rejected unless they
-collapse to zero area) and average-pooled to one vector per box. Gradients
-flow from pooled vectors back to pyramid values.
+stride-4 grid and channel-concatenated, on demand and only for the rows and
+columns a read touches. Each detection is then read out of that pyramid
+with quantization-free bilinear sampling (boxes mapped to grid units by
+dividing by the pyramid stride, clipped, never rejected unless they collapse
+to zero area) and average-pooled to one vector per box. Gradients flow from
+pooled vectors back to pyramid values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +39,50 @@ class DegenerateBoxError(ValueError):
         self.box_index = box_index
 
 
-@dataclass
 class MultiScalePyramid:
     """All stages upsampled to stride 4 and concatenated along channels.
+
+    The stages are kept as given, in stride order; :meth:`window` upsamples
+    only the requested rows and columns of the stride-4 grid, and ``grid``
+    is the full window, built on first use. A dense ``grid`` passed in is a
+    single stage already at stride 4.
 
     ``image_height``/``image_width`` name the coordinate frame boxes live in
     (the original image); when that frame equals the encoder input, mapping a
     box onto the grid is exactly a division by the stride.
     """
 
-    grid: np.ndarray  # [H/4, W/4, sum of stage widths]
-    image_height: int
-    image_width: int
-    stride: int = 4
+    stride = 4
+
+    def __init__(self, *, image_height: int, image_width: int, stages: list[np.ndarray] | None = None,
+                 extent: tuple[int, int] | None = None, grid: np.ndarray | None = None):
+        if grid is not None:
+            stages, extent = [grid], grid.shape[:2]
+        self.stages = stages
+        self.height, self.width = extent
+        self.image_height = image_height
+        self.image_width = image_width
 
     @property
     def channels(self) -> int:
-        return self.grid.shape[2]
+        return sum(s.shape[2] for s in self.stages)
+
+    def window(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The stride-4 cells at ``rows`` x ``cols``, equal to ``grid[np.ix_(rows, cols)]``."""
+        planes = []
+        for stage in self.stages:
+            h, w = stage.shape[0], stage.shape[1]
+            if (h, w) == (self.height, self.width):
+                planes.append(stage[np.ix_(rows, cols)])
+                continue
+            row_taps = [t[rows] for t in sampling._resize_taps(h, self.height)]
+            col_taps = [t[cols] for t in sampling._resize_taps(w, self.width)]
+            planes.append(sampling._resize_separable(stage, row_taps, col_taps))
+        return np.concatenate(planes, axis=2)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:  # [H/4, W/4, sum of stage widths]
+        return self.window(np.arange(self.height), np.arange(self.width))
 
 
 def build_pyramid(
@@ -62,7 +91,7 @@ def build_pyramid(
     image_height: int | None = None,
     image_width: int | None = None,
 ) -> MultiScalePyramid:
-    """Upsample every stage to the stride-4 extent and concat in stride order.
+    """Validate the stages and order them by stride for stride-4 reads.
 
     Pass the original image extent when it differs from the encoder input
     (boxes are expressed in original pixels and must land on this grid).
@@ -87,17 +116,11 @@ def build_pyramid(
     if image_extent % 4 != 0:
         raise PyramidError(f"image extent {image_extent} is not divisible by the pyramid stride 4")
     out_side = image_extent // 4
-    planes = []
-    for g in ordered:
-        if g.tokens.shape[0] == out_side:
-            planes.append(g.tokens)
-        else:
-            planes.append(sampling.resize(g.tokens, out_side, out_side))
-    grid = np.concatenate(planes, axis=2)
     return MultiScalePyramid(
-        grid=grid,
         image_height=image_height if image_height is not None else image_extent,
         image_width=image_width if image_width is not None else image_extent,
+        stages=[g.tokens for g in ordered],
+        extent=(out_side, out_side),
     )
 
 
@@ -108,7 +131,7 @@ class RoiConfig:
 
 
 def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection) -> tuple[float, float, float, float]:
-    gh, gw = pyramid.grid.shape[0], pyramid.grid.shape[1]
+    gh, gw = pyramid.height, pyramid.width
     sx = gw / float(pyramid.image_width)
     sy = gh / float(pyramid.image_height)
     x0 = min(max(box.x0 * sx, 0.0), float(gw))
@@ -116,6 +139,15 @@ def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection) -> tuple[float
     x1 = min(max(box.x1 * sx, 0.0), float(gw))
     y1 = min(max(box.y1 * sy, 0.0), float(gh))
     return x0, y0, x1, y1
+
+
+def _box_points(pyramid: MultiScalePyramid, box: Detection, cfg: RoiConfig,
+                box_index: int | None = None) -> np.ndarray:
+    """The box's bin sample points in grid cells; a box clipped to nothing raises."""
+    x0, y0, x1, y1 = _clip_box_to_grid(pyramid, box)
+    if x1 <= x0 or y1 <= y0:
+        raise DegenerateBoxError(box, box_index)
+    return sampling.box_sample_points(x0, y0, x1, y1, cfg.bins, cfg.samples_per_bin)
 
 
 def roi_align(
@@ -130,12 +162,9 @@ def roi_align(
     interior points; box edges are never quantized. Pass ``grid_tensor`` to
     reuse a tracked wrapper of ``pyramid.grid`` (e.g. during gradient checks).
     """
-    x0, y0, x1, y1 = _clip_box_to_grid(pyramid, box)
-    if x1 <= x0 or y1 <= y0:
-        raise DegenerateBoxError(box)
     b_h, b_w = cfg.bins
     s = cfg.samples_per_bin
-    points = sampling.box_sample_points(x0, y0, x1, y1, (b_h, b_w), s)
+    points = _box_points(pyramid, box, cfg)
     grid = grid_tensor if grid_tensor is not None else Tensor(pyramid.grid)
     sampled = bilinear_sample(grid, points)  # [b_h*b_w*s*s, C]
     per_bin = sampled.reshape(b_h, b_w, s * s, pyramid.channels)
@@ -163,16 +192,32 @@ def extract_object_features(
     cfg: RoiConfig = RoiConfig(),
     grid_tensor: Tensor | None = None,
 ) -> ObjectFeatureSet:
-    """RoI-align each box then average-pool to a single vector per box."""
+    """RoI-align each box then average-pool to a single vector per box.
+
+    Without ``grid_tensor`` (inference) all boxes are read at once from one
+    pyramid window spanning the rows and columns their samples touch, with
+    the same arithmetic as :func:`roi_align`, so rows are bit-identical to it.
+    With ``grid_tensor`` each box goes through :func:`roi_align` on the tape.
+    """
     c = pyramid.channels
     if len(dets) == 0:
         return ObjectFeatureSet(features=Tensor(np.zeros((0, c))))
-    grid = grid_tensor if grid_tensor is not None else Tensor(pyramid.grid)
-    rows = []
-    for i, det in enumerate(dets.detections):
-        try:
-            aligned = roi_align(pyramid, det, cfg, grid_tensor=grid)
-        except DegenerateBoxError as exc:
-            raise DegenerateBoxError(exc.box, box_index=i) from exc
-        rows.append(aligned.mean(axis=(0, 1)).reshape(1, c))
-    return ObjectFeatureSet(features=concat(rows, axis=0))
+    if grid_tensor is not None:
+        rows = []
+        for i, det in enumerate(dets.detections):
+            try:
+                aligned = roi_align(pyramid, det, cfg, grid_tensor=grid_tensor)
+            except DegenerateBoxError as exc:
+                raise DegenerateBoxError(exc.box, box_index=i) from exc
+            rows.append(aligned.mean(axis=(0, 1)).reshape(1, c))
+        return ObjectFeatureSet(features=concat(rows, axis=0))
+    points = np.concatenate([_box_points(pyramid, det, cfg, i) for i, det in enumerate(dets.detections)])
+    i0, i1, j0, j1, wts = sampling.corner_weights(pyramid.height, pyramid.width, points)
+    rows, cols = np.union1d(i0, i1), np.union1d(j0, j1)
+    sampled = sampling.blend_corners(  # corner indices remapped into the window
+        pyramid.window(rows, cols), np.searchsorted(rows, i0), np.searchsorted(rows, i1),
+        np.searchsorted(cols, j0), np.searchsorted(cols, j1), wts)
+    b_h, b_w = cfg.bins
+    s = cfg.samples_per_bin
+    per_bin = np.mean(sampled.reshape(len(dets), b_h, b_w, s * s, c), axis=3)
+    return ObjectFeatureSet(features=Tensor(np.mean(per_bin, axis=(1, 2))))

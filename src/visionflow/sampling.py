@@ -9,13 +9,23 @@ interpolation is always a convex combination of stored values.
 
 Resizing maps output cell center ``i + 0.5`` to source coordinate
 ``(i + 0.5) * src_extent / out_extent`` (align_corners=False semantics,
-no antialiasing). Image resizing, pyramid upsampling, and box feature
-sampling all go through this module so their conventions cannot drift.
+no antialiasing). Bilinear resizing is separable, so :func:`resize`
+interpolates rows, then columns, with two taps per axis; the per-cell gather
+(:func:`center_points` + :func:`sample_grid`) stays as its oracle. Image
+resizing, pyramid upsampling, and box feature sampling all go through this
+module so their conventions cannot drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _axis_taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped lower/upper cell indices and upper-cell fraction along one axis."""
+    p = np.clip(coords - 0.5, 0.0, float(n - 1))
+    i0 = np.minimum(np.floor(p).astype(np.int64), n - 1)
+    return i0, np.minimum(i0 + 1, n - 1), p - i0
 
 
 def corner_weights(
@@ -29,47 +39,75 @@ def corner_weights(
     (i1,j1). Weights are nonnegative and sum to 1 per point.
     """
     points = np.asarray(points, dtype=np.float64)
-    py = np.clip(points[:, 0] - 0.5, 0.0, float(h - 1))
-    px = np.clip(points[:, 1] - 0.5, 0.0, float(w - 1))
-    i0 = np.minimum(np.floor(py).astype(np.int64), h - 1)
-    j0 = np.minimum(np.floor(px).astype(np.int64), w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
-    j1 = np.minimum(j0 + 1, w - 1)
-    fy = py - i0
-    fx = px - j0
+    i0, i1, fy = _axis_taps(points[:, 0], h)
+    j0, j1, fx = _axis_taps(points[:, 1], w)
     weights = np.stack(
         [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=1
     )
     return i0, i1, j0, j1, weights
 
 
+def blend_corners(grid: np.ndarray, i0, i1, j0, j1, weights: np.ndarray) -> np.ndarray:
+    """The weighted sum of four corner reads from :func:`corner_weights` -> [P, C]."""
+    return (
+        grid[i0, j0] * weights[:, 0:1]
+        + grid[i0, j1] * weights[:, 1:2]
+        + grid[i1, j0] * weights[:, 2:3]
+        + grid[i1, j1] * weights[:, 3:4]
+    )
+
+
 def sample_grid(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Bilinearly sample ``grid`` ([h, w, C]) at ``points`` ([P, 2]) -> [P, C]."""
-    h, w = grid.shape[0], grid.shape[1]
-    i0, i1, j0, j1, wts = corner_weights(h, w, points)
-    out = (
-        grid[i0, j0] * wts[:, 0:1]
-        + grid[i0, j1] * wts[:, 1:2]
-        + grid[i1, j0] * wts[:, 2:3]
-        + grid[i1, j1] * wts[:, 3:4]
-    )
-    return out
+    return blend_corners(grid, *corner_weights(grid.shape[0], grid.shape[1], points))
 
 
 def center_points(out_h: int, out_w: int, scale_y: float, scale_x: float) -> np.ndarray:
-    """Source-space sample points for a resized grid, row-major [out_h*out_w, 2]."""
+    """Source-space sample points for a resized grid, row-major [out_h*out_w, 2].
+
+    With :func:`sample_grid` this is the per-cell gather definition of
+    :func:`resize`, kept as its oracle.
+    """
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * scale_y
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * scale_x
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     return np.stack([yy.ravel(), xx.ravel()], axis=1)
 
 
+def _resize_taps(src: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis taps ``(i0, i1, frac)`` mapping ``out`` cells onto ``src`` cells.
+
+    Output cell ``k`` reads ``(1 - frac[k]) * src[i0[k]] + frac[k] * src[i1[k]]``
+    along this axis; the source coordinate is the one :func:`center_points`
+    gives, so the taps and the gather share one convention.
+    """
+    return _axis_taps((np.arange(out, dtype=np.float64) + 0.5) * (src / out), src)
+
+
+def _interpolate_axis(grid: np.ndarray, axis: int, taps) -> np.ndarray:
+    i0, i1, frac = taps
+    f = frac.reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
+    out = np.take(grid, i0, axis=axis)
+    out *= 1.0 - f
+    upper = np.take(grid, i1, axis=axis)
+    upper *= f
+    out += upper
+    return out
+
+
+def _resize_separable(grid: np.ndarray, row_taps, col_taps) -> np.ndarray:
+    """Two-tap interpolation of ``grid`` ([h, w, C]): rows first, then columns.
+
+    Each output cell depends only on its own row and column taps, so any
+    subset of taps gives exactly the matching cells of the full result.
+    """
+    return _interpolate_axis(_interpolate_axis(grid, 0, row_taps), 1, col_taps)
+
+
 def resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinearly resize ``grid`` ([h, w, C]) to ``[out_h, out_w, C]``."""
     h, w = grid.shape[0], grid.shape[1]
-    pts = center_points(out_h, out_w, h / out_h, w / out_w)
-    flat = sample_grid(grid, pts)
-    return flat.reshape(out_h, out_w, grid.shape[2])
+    return _resize_separable(grid, _resize_taps(h, out_h), _resize_taps(w, out_w))
 
 
 def box_sample_points(

@@ -461,13 +461,7 @@ def bilinear_sample(grid: Tensor, points: np.ndarray) -> Tensor:
         raise ValueError("bilinear_sample points must be finite")
     h, w, c = grid.shape
     i0, i1, j0, j1, wts = sampling.corner_weights(h, w, points)
-    g_data = grid.data
-    out_data = (
-        g_data[i0, j0] * wts[:, 0:1]
-        + g_data[i0, j1] * wts[:, 1:2]
-        + g_data[i1, j0] * wts[:, 2:3]
-        + g_data[i1, j1] * wts[:, 3:4]
-    )
+    out_data = sampling.blend_corners(grid.data, i0, i1, j0, j1, wts)
 
     def backward(g):
         dgrid = np.zeros((h, w, c), dtype=g.dtype)

@@ -15,15 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng
+from . import rng, sampling
 from .assembly import assemble, assemble_video, score_answer
 from .boxes import Detection, nms_indices
 from .config import RunConfig, config_from_dict
 from .datagen import generate_dataset, small_training_config
-from .encoders import EncoderConfig, generate_scene, render_scene
+from .encoders import EncoderConfig, HighResEncoder, generate_scene, render_scene
 from .fusion import fuse
 from .pipeline import build_components, prepare_sample, run_image, scene_boxes
-from .roi import MultiScalePyramid, RoiConfig, build_pyramid, roi_align
+from .roi import MultiScalePyramid, RoiConfig, build_pyramid, extract_object_features, roi_align
 from .tensor import Tensor, affine, bilinear_sample, concat, conv1d, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
@@ -411,7 +411,49 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
     got = roi_align(pyramid, det, RoiConfig(bins=(7, 7), samples_per_bin=2)).data
     dev = float(np.max(np.abs(got - cval)))
     suite.add("constant_map", dev < 1e-9, f"max deviation from constant {dev:.3g}")
+    _check_resize_oracle(suite, seed)
+    _check_pyramid_window(suite, seed)
     return suite
+
+
+def _check_resize_oracle(suite: SuiteResult, seed: int, shapes: int = 40) -> None:
+    """Separable ``sampling.resize`` against the per-cell gather it replaced."""
+    gen = rng.stream(seed, "verify.roi.resize")
+    worst, upsampled = 0.0, 0
+    for _ in range(shapes):
+        h, w, out_h, out_w = (int(v) for v in gen.integers(1, 48, size=4))
+        c = int(gen.integers(1, 5))
+        grid = gen.normal(0.0, 1.0, size=(h, w, c))
+        pts = sampling.center_points(out_h, out_w, h / out_h, w / out_w)
+        want = sampling.sample_grid(grid, pts).reshape(out_h, out_w, c)
+        worst = max(worst, float(np.max(np.abs(sampling.resize(grid, out_h, out_w) - want))))
+        upsampled += out_h * out_w > h * w
+    suite.add("resize_oracle", worst < 1e-12,
+              f"max abs diff {worst:.3g} over {shapes} shapes, {upsampled} of them enlarging")
+
+
+def _check_pyramid_window(suite: SuiteResult, seed: int, windows: int = 4) -> None:
+    """On real encoder stages: windows equal the dense grid bit for bit, and
+    the batched RoI read equals per-box ``roi_align`` bit for bit."""
+    cfg = RunConfig(seed=seed)
+    scene = generate_scene(seed, n_objects=3)
+    stages = HighResEncoder(cfg.encoder).encode(render_scene(scene))
+    pyramid = build_pyramid(stages, expected_strides=cfg.encoder.stage_strides,
+                            image_height=scene.height, image_width=scene.width)
+    dets = scene_boxes(cfg, scene)
+    batched = extract_object_features(pyramid, dets, cfg.roi).features.data
+    gen = rng.stream(seed, "verify.roi.window")
+    same = True
+    for _ in range(windows):
+        rows = gen.choice(pyramid.height, size=int(gen.integers(1, pyramid.height)), replace=False)
+        cols = gen.choice(pyramid.width, size=int(gen.integers(1, pyramid.width)), replace=False)
+        same &= pyramid.window(rows, cols).tobytes() == pyramid.grid[np.ix_(rows, cols)].tobytes()
+    suite.add("window_equals_grid", same,
+              f"{windows} random windows of a {pyramid.height}x{pyramid.width}x{pyramid.channels} pyramid")
+    per_box = [roi_align(pyramid, d, cfg.roi).mean(axis=(0, 1)).data for d in dets.detections]
+    want = np.stack(per_box) if per_box else np.zeros((0, pyramid.channels))
+    suite.add("batched_equals_per_box", batched.tobytes() == want.tobytes(),
+              f"{len(dets)} boxes, one window vs per-box roi_align")
 
 
 def suite_tokens(seed: int = 0, draws: int = 60) -> SuiteResult:

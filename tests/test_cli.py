@@ -214,6 +214,42 @@ def test_usage_errors_exit_one(capsys):
     assert main(["infer", "--text-ids", "a,b"]) == EXIT_USAGE
 
 
+def test_video_input_with_boxes_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "video.json"
+    path.write_text(json.dumps(generate_video_descriptor(3, n_frames=2)))
+    code = main(["infer", *TINY, "--input", str(path), "--boxes-file", str(tmp_path / "b.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--boxes-file" in err and "--input" in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--decode", "-3"], "--decode"),
+    (["--threads", "0"], "--threads"),
+    (["--threads", "-2"], "--threads"),
+    (["--text-ids", ""], "--text-ids"),
+    (["--answer-ids", " "], "--answer-ids"),
+    (["--scene-objects", "-1"], "--scene-objects"),
+])
+def test_out_of_range_infer_flags_are_usage_errors(flags, named, capsys):
+    assert main(["infer", *TINY, "--scene-seed", "5", *flags]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["objects"][0].update(x0=float("nan")), "objects[0].x0"),
+    (lambda d: d.update(height=-16), "height"),
+    (lambda d: d.update(width=100_000), "width"),
+])
+def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, edit, field):
+    scene = generate_scene(9, n_objects=2).to_dict()
+    edit(scene)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
+    assert field in capsys.readouterr().err
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["infer", "--input", str(tmp_path / "missing.json")]) == EXIT_DATA
     bad = tmp_path / "bad.json"

@@ -217,3 +217,76 @@ def test_gradients_flow_to_pyramid_values():
 
     errors = fd_check(loss_fn, [("pyramid", leaf)], gen, max_coords=20)
     assert errors["pyramid"] < 1e-4
+
+
+# -- batched inference read: one window, bit-identical to per-box roi_align ----
+
+
+def scene_pyramid(seed):
+    from visionflow.config import RunConfig
+    from visionflow.encoders import HighResEncoder, generate_scene, render_scene
+
+    cfg = RunConfig(seed=seed)
+    scene = generate_scene(seed, n_objects=3)
+    stages = HighResEncoder(cfg.encoder).encode(render_scene(scene))
+    pyr = build_pyramid(stages, expected_strides=cfg.encoder.stage_strides,
+                        image_height=scene.height, image_width=scene.width)
+    return pyr, scene, cfg
+
+
+def per_box_rows(pyr, dets, cfg):
+    return np.stack([roi_align(pyr, d, cfg).mean(axis=(0, 1)).data for d in dets.detections])
+
+
+def test_batched_features_equal_per_box_roi_align_on_a_scene():
+    from visionflow.pipeline import scene_boxes
+
+    pyr, scene, cfg = scene_pyramid(11)
+    dets = scene_boxes(cfg, scene)
+    assert len(dets) == 3
+    got = extract_object_features(pyr, dets, cfg.roi).features.data
+    assert "grid" not in vars(pyr)  # the inference read never builds the dense grid
+    assert got.tobytes() == per_box_rows(pyr, dets, cfg.roi).tobytes()
+
+
+def test_batched_features_equal_per_box_roi_align_on_100_overlapping_boxes():
+    pyr, _, cfg = scene_pyramid(12)
+    gen = rng.stream(12, "test.roi.crowd")
+    dets = []
+    for _ in range(100):
+        x0, y0 = (float(v) for v in gen.uniform(-20.0, 200.0, size=2))
+        w, h = (float(v) for v in gen.uniform(4.0, 120.0, size=2))
+        dets.append(Detection(x0, y0, x0 + w, y0 + h, 0.5, "x"))
+    dets = DetectionSet("img", dets)
+    got = extract_object_features(pyr, dets, cfg.roi).features.data
+    assert "grid" not in vars(pyr)
+    assert got.shape == (100, pyr.channels)
+    assert got.tobytes() == per_box_rows(pyr, dets, cfg.roi).tobytes()
+
+
+def test_batched_read_of_no_boxes_keeps_channel_width():
+    pyr, _, cfg = scene_pyramid(13)
+    out = extract_object_features(pyr, DetectionSet("img", []), cfg.roi)
+    assert out.features.shape == (0, 104)
+    assert "grid" not in vars(pyr)
+
+
+def test_batched_read_reports_the_degenerate_box_index():
+    pyr, _, cfg = scene_pyramid(14)
+    dets = DetectionSet("img", [
+        Detection(10.0, 10.0, 60.0, 70.0, 0.9, "x"),
+        Detection(30.0, 5.0, 90.0, 40.0, 0.8, "x"),
+        Detection(300.0, 300.0, 320.0, 310.0, 0.7, "x"),  # outside the 256px image
+    ])
+    with pytest.raises(DegenerateBoxError, match=r"box 2") as info:
+        extract_object_features(pyr, dets, cfg.roi)
+    assert info.value.box_index == 2
+    assert "grid" not in vars(pyr)
+
+
+def test_window_equals_dense_grid_cells():
+    gen = rng.stream(15, "test.pyr.window")
+    pyr = build_pyramid(random_stages(gen))
+    rows = np.array([5, 0, 15, 5, 9])
+    cols = np.array([3, 14, 2])
+    assert pyr.window(rows, cols).tobytes() == pyr.grid[np.ix_(rows, cols)].tobytes()
