@@ -9,7 +9,9 @@ smallest causal model in which ordering, causality and gradient-flow
 properties are nondegenerate: a trainable embedding table, sinusoidal
 positions, one masked self-attention block with a small MLP, and a softmax
 over a toy vocabulary. Answers are scored teacher-forced; the loss is the
-mean negative log-likelihood per answer token.
+mean negative log-likelihood per answer token. With a single block only the
+L answer-prediction rows are ever read, so only they are queried: attention
+costs L x T, not T x T, for scoring and for each decode step.
 """
 
 from __future__ import annotations
@@ -228,30 +230,31 @@ def assemble_video(
     return TokenSequence(embeddings=concat(pieces, axis=0), segments=segments, frames=frames)
 
 
-def causal_hidden(full: Tensor, p: ScorerParams) -> Tensor:
-    """One causal self-attention block plus MLP over [T, D] embeddings."""
+def causal_hidden(full: Tensor, p: ScorerParams, first: int) -> Tensor:
+    """One causal self-attention block plus MLP over [T, D] embeddings,
+    queried only at rows ``first..T-1``: returns their [T - first, D] states."""
     t, d = full.shape
-    q = full @ p.wq
+    rows = full.narrow(0, first, t - first)
+    q = rows @ p.wq
     k = full @ p.wk
     v = full @ p.wv
     scores = (q @ k.T) * (1.0 / math.sqrt(d))
-    mask = np.triu(np.full((t, t), -1e9), k=1)  # strictly-upper: future positions
+    mask = np.triu(np.full((t - first, t), -1e9), k=first + 1)  # future positions
     weights = (scores + Tensor(mask)).softmax(axis=-1)
-    x = full + weights @ v
+    x = rows + weights @ v
     return x + affine(gelu(affine(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
 
 
 def scorer_logits(prefix: Tensor, answer_ids: list[int], p: ScorerParams) -> Tensor:
     """Teacher-forced logits [L, vocab]: row i predicts answer token i."""
+    # the state just before each answer token carries its prediction, so no
+    # row reads the last answer token and it stays out of the context
     vocab = p.embed.shape[0]
-    answer_emb = one_hot(answer_ids, vocab) @ p.embed
+    answer_emb = one_hot(answer_ids[:-1], vocab) @ p.embed
     full = concat([prefix, answer_emb], axis=0)
     full = full + Tensor(sinusoidal_positions(full.shape[0], full.shape[1]))
-    hidden = causal_hidden(full, p)
-    s = prefix.shape[0]
-    # the state just before each answer token carries its prediction
-    pred_states = hidden.narrow(0, s - 1, len(answer_ids))
-    return affine(pred_states, p.out_w, p.out_b)
+    hidden = causal_hidden(full, p, first=prefix.shape[0] - 1)
+    return affine(hidden, p.out_w, p.out_b)
 
 
 def score_answer(seq: TokenSequence, answer_ids: list[int], p: ScorerParams) -> Tensor:
@@ -267,8 +270,10 @@ def score_answer(seq: TokenSequence, answer_ids: list[int], p: ScorerParams) -> 
 def greedy_decode(seq: TokenSequence, p: ScorerParams, max_new: int, stop_id: int | None = None) -> list[int]:
     """Argmax continuation of the sequence; deterministic, no sampling.
 
-    Each step re-runs the block over [prefix; generated; dummy]; the causal
-    mask guarantees the dummy token cannot influence its own prediction row.
+    Each step scores [generated; placeholder] after the prefix; the
+    placeholder never enters the context and only prediction rows are
+    queried, so a step costs T-row projections plus len(generated) + 1
+    attention rows, not a T x T block.
     """
     generated: list[int] = []
     for _ in range(max_new):

@@ -183,7 +183,10 @@ def cmd_infer(args) -> int:
     cfg = _config_from_args(args)
     components = build_components(cfg)
     if args.checkpoint:
-        _, state = load_checkpoint_state(args.checkpoint)
+        manifest, state = load_checkpoint_state(args.checkpoint)
+        if manifest.get("config_hash") != cfg.config_hash():
+            raise ValueError(f"checkpoint config_hash {manifest.get('config_hash')!r} != this run's "
+                             f"{cfg.config_hash()!r}; infer with the config it was trained with")
         restore_model(components.model, state)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ GROUP_PROJ_B = "proj_B"
 GROUP_MERGE = "merge"
 GROUP_SCORER = "scorer"
 GROUP_ENCODERS = "encoders"
+
+CHECKPOINT_FORMAT = "visionflow-checkpoint-v1"
 
 PRETRAIN_TRAINABLE = frozenset({GROUP_FUSION, GROUP_PROJ_F, GROUP_PROJ_B})
 
@@ -245,7 +248,7 @@ def save_checkpoint(model: ModelParams, directory: str, stage: str, seed: int,
         blobs.append(raw)
         offset += len(raw)
     manifest = {
-        "format": "visionflow-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "stage": stage,
         "seed": seed,
         "config_hash": config_hash,
@@ -259,15 +262,27 @@ def save_checkpoint(model: ModelParams, directory: str, stage: str, seed: int,
 
 
 def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back (manifest, {qualified name: array})."""
+    """Read back (manifest, {qualified name: array}).
+
+    Rejects another format, and any tensor whose byte count disagrees with
+    its shape or whose bytes run past the end of params.bin.
+    """
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         raw = fh.read()
     state: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        buf = raw[entry["offset"]: entry["offset"] + entry["nbytes"]]
-        state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
+        name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+        if nbytes != 8 * math.prod(shape):
+            raise ValueError(f"checkpoint tensor {name!r}: nbytes {nbytes} != 8 x {shape}")
+        if offset < 0 or offset + nbytes > len(raw):
+            raise ValueError(f"checkpoint tensor {name!r}: bytes [{offset}, {offset + nbytes}) "
+                             f"run past params.bin ({len(raw)} bytes)")
+        state[name] = np.frombuffer(raw[offset: offset + nbytes], dtype="<f8").reshape(shape).copy()
     return manifest, state
 
 

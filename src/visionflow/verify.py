@@ -16,7 +16,19 @@ from typing import Callable
 import numpy as np
 
 from . import rng, sampling
-from .assembly import assemble, assemble_video, score_answer
+from .assembly import (
+    SEGMENT_TEXT,
+    AssemblyConfig,
+    ScorerParams,
+    TokenSequence,
+    assemble,
+    assemble_video,
+    gelu,
+    greedy_decode,
+    score_answer,
+    scorer_logits,
+    sinusoidal_positions,
+)
 from .boxes import Detection, nms_indices
 from .config import RunConfig, config_from_dict
 from .datagen import generate_dataset, small_training_config
@@ -199,6 +211,28 @@ def naive_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                         s += x[src, c] * w[o, c, j]
             out[t, o] = s
     return out
+
+
+def full_scorer_logits(prefix: Tensor, answer_ids: list[int], p: ScorerParams) -> Tensor:
+    """The scorer over the whole sequence: every row of [prefix; answer] is a
+    query under a [T, T] mask, then the prediction rows are narrowed out."""
+    full = concat([prefix, one_hot(answer_ids, p.embed.shape[0]) @ p.embed], axis=0)
+    full = full + Tensor(sinusoidal_positions(full.shape[0], full.shape[1]))
+    t, d = full.shape
+    scores = ((full @ p.wq) @ (full @ p.wk).T) * (1.0 / math.sqrt(d))
+    weights = (scores + Tensor(np.triu(np.full((t, t), -1e9), k=1))).softmax(axis=-1)
+    x = full + weights @ (full @ p.wv)
+    hidden = x + affine(gelu(affine(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
+    return affine(hidden.narrow(0, prefix.shape[0] - 1, len(answer_ids)), p.out_w, p.out_b)
+
+
+def full_greedy_decode(prefix: Tensor, p: ScorerParams, max_new: int) -> list[int]:
+    """Argmax decoding through ``full_scorer_logits``, one whole pass per token."""
+    generated: list[int] = []
+    for _ in range(max_new):
+        logits = full_scorer_logits(prefix, generated + [0], p)
+        generated.append(int(np.argmax(logits.data[-1])))
+    return generated
 
 
 # -- reusable tiny fixtures --------------------------------------------------------
@@ -456,6 +490,44 @@ def _check_pyramid_window(suite: SuiteResult, seed: int, windows: int = 4) -> No
               f"{len(dets)} boxes, one window vs per-box roi_align")
 
 
+def _scorer_cases(seed: int, cases: int):
+    """Seeded (prefix, answer ids, scorer) triples. The first four are the
+    edges: a one-row prefix with L = 1 and L = 5, L = 1 after a longer
+    prefix, and T = 700 with L = 16."""
+    dim = 16
+    cfg = AssemblyConfig(model_dim=dim, vocab_size=24, scorer_hidden=2 * dim)
+    edges = [(1, 1), (1, 5), (9, 1), (684, 16)]
+    for case in range(cases):
+        gen = rng.stream(seed, f"verify.scorer.{case}")
+        s, n = edges[case] if case < len(edges) else (int(gen.integers(1, 301)), int(gen.integers(1, 17)))
+        prefix = Tensor(gen.normal(0.0, 1.0, size=(s, dim)))
+        answer = [int(v) for v in gen.integers(0, cfg.vocab_size, size=n)]
+        yield prefix, answer, ScorerParams.build(cfg, gen)
+
+
+def suite_scorer(seed: int = 0, cases: int = 40) -> SuiteResult:
+    """The scorer's L query rows against the full [T, T] pass it replaced;
+    the first twelve cases also decode L tokens both ways."""
+    suite = SuiteResult("scorer")
+    decodes = 12
+    worst, identical, mismatched = 0.0, 0, []
+    for case, (prefix, answer, p) in enumerate(_scorer_cases(seed, cases)):
+        got = scorer_logits(prefix, answer, p).data
+        want = full_scorer_logits(prefix, answer, p).data
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        identical += got.tobytes() == want.tobytes()
+        if case < decodes:
+            rows = prefix.shape[0]
+            seq = TokenSequence(prefix, (SEGMENT_TEXT,) * rows, (0,) * rows)
+            if greedy_decode(seq, p, len(answer)) != full_greedy_decode(prefix, p, len(answer)):
+                mismatched.append(case)
+    suite.add("rows_equal_full", worst < 1e-12,
+              f"max abs diff {worst:.3g} over {cases} cases, {identical} bit-identical")
+    suite.add("decode_equals_full", not mismatched,
+              f"{min(cases, decodes)} decodes" + (f"; ids differ in cases {mismatched}" if mismatched else ""))
+    return suite
+
+
 def suite_tokens(seed: int = 0, draws: int = 60) -> SuiteResult:
     suite = SuiteResult("tokens")
     gen = rng.stream(seed, "verify.tokens")
@@ -553,6 +625,7 @@ SUITE_BUILDERS: dict[str, Callable[..., SuiteResult]] = {
     "gradients": suite_gradients,
     "nms": suite_nms,
     "roi": suite_roi,
+    "scorer": suite_scorer,
     "tokens": suite_tokens,
     "freeze": suite_freeze,
     "determinism": suite_determinism,
@@ -575,5 +648,7 @@ def run_suites(names: list[str] | None = None, seed: int = 0, fast: bool = False
             kwargs["trials"] = 100 if fast else 1000
         elif name == "roi":
             kwargs["pairs"] = 50 if fast else 500
+        elif name == "scorer":
+            kwargs["cases"] = 16 if fast else 40
         results.append(SUITE_BUILDERS[name](**kwargs))
     return results

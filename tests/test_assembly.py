@@ -2,6 +2,7 @@
 merge variants, video concatenation, causality, and the NLL objective."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from visionflow import rng
 from visionflow.assembly import (
+    SEGMENT_TEXT,
     AssemblyConfig,
     MergeMethod,
     ScorerParams,
+    TokenSequence,
     assemble,
     assemble_video,
     gelu,
@@ -23,7 +26,7 @@ from visionflow.assembly import (
 )
 from visionflow.fusion import CrossAttentionParams
 from visionflow.tensor import Tensor
-from visionflow.verify import fd_check
+from visionflow.verify import fd_check, full_greedy_decode, full_scorer_logits
 
 D = 8
 VOCAB = 11
@@ -211,6 +214,48 @@ def test_greedy_decode_first_token_matches_teacher_forced_argmax():
     decoded = greedy_decode(seq, p, max_new=1)
     logits = scorer_logits(seq.embeddings, [0], p)
     assert decoded[0] == int(np.argmax(logits.data[0]))
+
+
+def prefix_sequence(rows, seed):
+    gen = rng.stream(seed, "test.assembly.prefix")
+    prefix = Tensor(gen.normal(size=(rows, D)))
+    return TokenSequence(prefix, (SEGMENT_TEXT,) * rows, (0,) * rows)
+
+
+@pytest.mark.parametrize("rows,answer", [
+    (1, [3]), (1, [3, 7, 2]), (6, [5]), (40, [1, 9, 9, 0, 4]), (300, list(range(11)) + [2] * 5),
+])
+def test_scorer_logits_equal_the_full_sequence_pass(rows, answer):
+    p = scorer(seed=rows)
+    prefix = prefix_sequence(rows, seed=rows).embeddings
+    got = scorer_logits(prefix, answer, p).data
+    want = full_scorer_logits(prefix, answer, p).data
+    assert got.shape == (len(answer), VOCAB)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_greedy_decode_equals_full_sequence_decoding():
+    for case in range(200):
+        gen = rng.stream(case, "test.assembly.decode_oracle")
+        rows, new = int(gen.integers(1, 31)), int(gen.integers(1, 7))
+        p = scorer(seed=case)
+        seq = prefix_sequence(rows, seed=case)
+        assert greedy_decode(seq, p, new) == full_greedy_decode(seq.embeddings, p, new), case
+
+
+def test_scoring_a_long_prefix_never_builds_a_square_block():
+    # the full pass holds several 2,000 x 2,000 float64 arrays (32 MB each)
+    cfg = AssemblyConfig(model_dim=32, vocab_size=64, scorer_hidden=64)
+    p = ScorerParams.build(cfg, rng.stream(16, "test.assembly.memory"))
+    seq = TokenSequence(Tensor(rng.stream(17, "test.assembly.memory").normal(size=(2000, 32))),
+                        (SEGMENT_TEXT,) * 2000, (0,) * 2000)
+    tracemalloc.start()
+    try:
+        score_answer(seq, [5, 6], p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_sinusoidal_positions_shape_and_range():

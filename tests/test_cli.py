@@ -179,6 +179,64 @@ def test_train_missing_dataset_exits_data(tmp_path):
     assert code == EXIT_DATA
 
 
+ONE_STEP = ["--set", 'train={"stage1_steps": 1, "stage2_steps": 0, "batch_size": 2}']
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    data_path = root / "train.json"
+    assert main(["gen-data", *TINY, "--out", str(data_path), "--samples", "2", "--seed", "0"]) == EXIT_OK
+    out_dir = root / "run"
+    assert main(["train", *TINY, *ONE_STEP, "--seed", "0", "--dataset", str(data_path),
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    return out_dir
+
+
+def copy_checkpoint(src, dst):
+    dst.mkdir()
+    for name in ("manifest.json", "params.bin"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def test_infer_loads_a_checkpoint_of_its_own_config(tmp_path, tiny_checkpoint):
+    report = run_infer(tmp_path, *ONE_STEP, "--seed", "0", "--checkpoint", str(tiny_checkpoint))
+    assert report["nll"] is not None
+
+
+def test_infer_rejects_a_checkpoint_of_another_seed(tmp_path, tiny_checkpoint, capsys):
+    from visionflow.cli import _config_from_args, build_parser
+
+    argv = ["infer", *TINY, *ONE_STEP, "--seed", "3", "--scene-seed", "5"]
+    assert main([*argv, "--checkpoint", str(tiny_checkpoint)]) == EXIT_DATA
+    trained = json.loads((tiny_checkpoint / "manifest.json").read_text())["config_hash"]
+    run = _config_from_args(build_parser().parse_args(argv)).config_hash()
+    err = capsys.readouterr().err
+    assert trained != run and trained in err and run in err
+
+
+def test_infer_rejects_another_checkpoint_format(tmp_path, tiny_checkpoint, capsys):
+    ckpt = copy_checkpoint(tiny_checkpoint, tmp_path / "v2")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["format"] = "visionflow-checkpoint-v2"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["infer", *TINY, *ONE_STEP, "--seed", "0", "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "visionflow-checkpoint-v2" in capsys.readouterr().err
+
+
+def test_infer_rejects_a_truncated_checkpoint_naming_the_tensor(tmp_path, tiny_checkpoint, capsys):
+    ckpt = copy_checkpoint(tiny_checkpoint, tmp_path / "cut")
+    blob = (ckpt / "params.bin").read_bytes()
+    (ckpt / "params.bin").write_bytes(blob[:-8])
+    last = json.loads((ckpt / "manifest.json").read_text())["tensors"][-1]["name"]
+    code = main(["infer", *TINY, *ONE_STEP, "--seed", "0", "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert repr(last) in err and "run past params.bin" in err
+
+
 def test_stats_command(tmp_path, capsys):
     from visionflow.boxes import MockDetector, SyntheticTags, generate_boxes, save_box_file
 

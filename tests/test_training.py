@@ -1,6 +1,9 @@
 """Two-stage training: freeze soundness, determinism, convergence on a tiny
 set, and checkpoint round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,15 @@ def test_restore_rejects_shape_mismatch(tmp_path):
     state["scorer/embed"] = state["scorer/embed"][:2]
     with pytest.raises(ValueError, match="shape"):
         restore_model(fresh_model(cfg), state)
+
+
+def test_load_rejects_an_entry_whose_bytes_disagree_with_its_shape(tmp_path):
+    save_checkpoint(fresh_model(tiny_config()), str(tmp_path), stage="both", seed=0, config_hash="x")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tensors"][1]["shape"][0] += 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(repr(manifest["tensors"][1]["name"]))):
+        load_checkpoint_state(str(tmp_path))
 
 
 def test_curve_csv_format():
