@@ -7,11 +7,14 @@ are inserted between segments (segment tags carry that structure; a learned
 separator would be the alternative). The scorer is the
 smallest causal model in which ordering, causality and gradient-flow
 properties are nondegenerate: a trainable embedding table, sinusoidal
-positions, one masked self-attention block with a small MLP, and a softmax
-over a toy vocabulary. Answers are scored teacher-forced; the loss is the
-mean negative log-likelihood per answer token. With a single block only the
-L answer-prediction rows are ever read, so only they are queried: attention
-costs L x T, not T x T, for scoring and for each decode step.
+positions (one cached table per width), one causal self-attention block with
+a small GELU MLP, and a softmax over a toy vocabulary. The block is built from
+the fused ``affine``, ``gelu`` and ``causal_attention`` tensor ops, so the
+attention adds one tape node and no mask tensor. Answers are scored
+teacher-forced; the loss is the mean negative log-likelihood per answer
+token. With a single block only the L answer-prediction rows are ever read,
+so only they are queried: attention costs L x T, not T x T, for scoring and
+for each decode step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .fusion import CrossAttentionParams, cross_attention
-from .tensor import Tensor, affine, concat, one_hot
+from .tensor import Tensor, affine, causal_attention, concat, gelu, one_hot
 
 log = logging.getLogger(__name__)
 
@@ -72,13 +75,6 @@ class TokenSequence:
         for tag in self.segments:
             counts[tag] = counts.get(tag, 0) + 1
         return counts
-
-
-def gelu(x: Tensor) -> Tensor:
-    # tanh approximation, composed from the primitive op set
-    c = math.sqrt(2.0 / math.pi)
-    inner = (x + (x * x * x) * 0.044715) * c
-    return x * 0.5 * (inner.tanh() + 1.0)
 
 
 @dataclass
@@ -157,6 +153,22 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
+# one read-only table per width, grown to a power of two; every entry depends
+# only on its own (position, column), so a prefix equals the shorter table
+_POSITION_TABLES: dict[int, np.ndarray] = {}
+
+
+def position_table(length: int, dim: int) -> np.ndarray:
+    """``sinusoidal_positions(length, dim)`` as a read-only view of a table
+    built once per ``dim``."""
+    table = _POSITION_TABLES.get(dim)
+    if table is None or table.shape[0] < length:
+        table = sinusoidal_positions(1 << max(length - 1, 0).bit_length(), dim)
+        table.flags.writeable = False
+        _POSITION_TABLES[dim] = table
+    return table[:length]
+
+
 def _row_tags(tag: str, count: int, frame: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return (tag,) * count, (frame,) * count
 
@@ -232,16 +244,12 @@ def assemble_video(
 
 def causal_hidden(full: Tensor, p: ScorerParams, first: int) -> Tensor:
     """One causal self-attention block plus MLP over [T, D] embeddings,
-    queried only at rows ``first..T-1``: returns their [T - first, D] states."""
-    t, d = full.shape
-    rows = full.narrow(0, first, t - first)
-    q = rows @ p.wq
-    k = full @ p.wk
-    v = full @ p.wv
-    scores = (q @ k.T) * (1.0 / math.sqrt(d))
-    mask = np.triu(np.full((t - first, t), -1e9), k=first + 1)  # future positions
-    weights = (scores + Tensor(mask)).softmax(axis=-1)
-    x = rows + weights @ v
+    queried only at rows ``first..T-1``: returns their [T - first, D] states.
+
+    Row ``first + i`` attends to rows ``0..first + i`` through the fused
+    ``causal_attention`` op, one tape node with no mask tensor."""
+    rows = full.narrow(0, first, full.shape[0] - first)
+    x = rows + causal_attention(rows @ p.wq, full @ p.wk, full @ p.wv, first)
     return x + affine(gelu(affine(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
 
 
@@ -252,7 +260,7 @@ def scorer_logits(prefix: Tensor, answer_ids: list[int], p: ScorerParams) -> Ten
     vocab = p.embed.shape[0]
     answer_emb = one_hot(answer_ids[:-1], vocab) @ p.embed
     full = concat([prefix, answer_emb], axis=0)
-    full = full + Tensor(sinusoidal_positions(full.shape[0], full.shape[1]))
+    full = full + Tensor(position_table(full.shape[0], full.shape[1]))
     hidden = causal_hidden(full, p, first=prefix.shape[0] - 1)
     return affine(hidden, p.out_w, p.out_b)
 

@@ -1,11 +1,19 @@
 """Dense tensors with a fixed differentiable op set and reverse-mode gradients.
 
+The op set: add, neg, mul, sigmoid, tanh, softmax, log_softmax, sum, mean,
+reshape, transpose, narrow, concat, matmul, conv1d and bilinear_sample, plus
+three fused primitives that each record one tape node with an analytic
+backward: ``affine`` (``x @ w + b``), ``gelu`` (tanh approximation) and
+``causal_attention`` (``softmax(q k^T / sqrt(d)) v`` over the keys each
+query may see). ``one_hot`` builds constant rows.
+
 Values are row-major numpy arrays, double precision by default (gradient
 checks demand it); float32 is an opt-in storage mode and is excluded from
 gradient tolerance guarantees. Tensors are immutable values after
 construction: ops allocate fresh output arrays and never write into their
-inputs. There is no broadcasting beyond scalar-with-tensor; any other shape
-mismatch raises ``ShapeError`` naming both shapes.
+inputs. There is no broadcasting beyond scalar-with-tensor (``affine``
+adds its bias row inside the op); any other shape mismatch raises
+``ShapeError`` naming both shapes.
 
 Each op records its inputs and a backward closure on the output node, so the
 graph reachable from a loss is an op tape in topological order;
@@ -16,6 +24,7 @@ thread, and parallel evaluation needs independent graphs.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,22 +211,6 @@ class Tensor:
 
         return Tensor._from_op(y, (self,), backward, "tanh")
 
-    def relu(self) -> Tensor:
-        mask = self.data > 0
-
-        def backward(g):
-            self._accumulate(g * mask)
-
-        return Tensor._from_op(np.where(mask, self.data, 0.0), (self,), backward, "relu")
-
-    def log(self) -> Tensor:
-        x = self.data
-
-        def backward(g):
-            self._accumulate(g / x)
-
-        return Tensor._from_op(np.log(x), (self,), backward, "log")
-
     def softmax(self, axis: int = -1) -> Tensor:
         shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
         e = np.exp(shifted)
@@ -314,10 +307,7 @@ class Tensor:
 
     def __matmul__(self, other: Tensor) -> Tensor:
         other = _coerce(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(f"matmul expects matrices, got {self.shape} @ {other.shape}")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
+        _check_matmul(self, other)
         a_data, b_data = self.data, other.data
         out_data = a_data @ b_data
 
@@ -342,6 +332,13 @@ def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape == b.shape or a.shape == () or b.shape == ():
         return
     raise ShapeError(f"{op} requires equal shapes (or a scalar), got {a.shape} and {b.shape}")
+
+
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects matrices, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
 
 
 def _accum_maybe_scalar(t: Tensor, g: np.ndarray) -> None:
@@ -475,15 +472,78 @@ def bilinear_sample(grid: Tensor, points: np.ndarray) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus a per-column bias.
+    """``x @ w`` plus the bias vector ``b`` on every row, as one node; the
+    bias gradient is the per-column sum of the output gradient."""
+    _check_matmul(x, w)
+    if b.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise ShapeError(f"affine bias must be a vector of width {w.shape[1]}, got shape {b.shape}")
+    x_data, w_data = x.data, w.data
+    out_data = x_data @ w_data + b.data
 
-    The bias row is expanded with a constant ones-column matmul so the strict
-    no-broadcasting rule holds; its gradient is the usual per-column sum.
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w_data.T)
+        if w.requires_grad:
+            w._accumulate(x_data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return Tensor._from_op(out_data, (x, w, b), backward, "affine")
+
+
+def gelu(x: Tensor) -> Tensor:
+    """tanh-approximate GELU, ``0.5 x (1 + tanh(c (x + 0.044715 x^3)))`` with
+    ``c = sqrt(2 / pi)``, evaluated in this order so it matches the same
+    formula written with the elementwise ops bit for bit."""
+    c = math.sqrt(2.0 / math.pi)
+    x_data = x.data
+    t = np.tanh((x_data + (x_data * x_data * x_data) * 0.044715) * c)
+    half = x_data * 0.5
+    out_data = half * (t + 1.0)
+
+    def backward(g):
+        slope = c * (1.0 + 3.0 * 0.044715 * (x_data * x_data))
+        x._accumulate(g * (0.5 * (t + 1.0) + half * (1.0 - t * t) * slope))
+
+    return Tensor._from_op(out_data, (x,), backward, "gelu")
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, first: int) -> Tensor:
+    """``softmax(q k^T / sqrt(d)) v`` where query row i sees keys ``0..first + i``.
+
+    ``q`` is [L, d], ``k`` is [T, d] and ``v`` is [T, d_v], with
+    ``0 <= first`` and ``first + L <= T``. Later keys get weight exactly zero
+    inside the op; no mask array is added to the scores.
     """
-    if b.ndim != 1:
-        raise ShapeError(f"affine bias must be a vector, got shape {b.shape}")
-    rows = x.shape[0]
-    return x @ w + Tensor(np.ones((rows, 1), dtype=x.data.dtype)) @ b.reshape(1, b.shape[0])
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"causal_attention expects matrices, got {q.shape}, {k.shape}, {v.shape}")
+    ell, d = q.shape
+    t = k.shape[0]
+    if k.shape[1] != d or v.shape[0] != t:
+        raise ShapeError(f"causal_attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if first < 0 or first + ell > t:
+        raise ShapeError(f"causal_attention rows {first}..{first + ell - 1} exceed {t} keys")
+    q_data, k_data, v_data = q.data, k.data, v.data
+    scale = 1.0 / math.sqrt(d)
+    # a contiguous k^T, as the transpose op made, keeps the scores bit-identical
+    scores = (q_data @ k_data.T.copy()) * scale
+    scores[np.arange(t) > first + np.arange(ell)[:, None]] = -np.inf
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
+    out_data = y @ v_data
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(y.T @ g)
+        if q.requires_grad or k.requires_grad:
+            gy = g @ v_data.T
+            gs = (y * (gy - np.sum(gy * y, axis=-1, keepdims=True))) * scale
+            if q.requires_grad:
+                q._accumulate(gs @ k_data)
+            if k.requires_grad:
+                k._accumulate(gs.T @ q_data)
+
+    return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")
 
 
 def one_hot(indices: Iterable[int], depth: int) -> Tensor:

@@ -261,17 +261,42 @@ def save_checkpoint(model: ModelParams, directory: str, stage: str, seed: int,
         fh.write(b"".join(blobs))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_manifest_tensors(tensors) -> None:
+    """Raise ValueError naming the first malformed field of the tensor list."""
+    if not isinstance(tensors, list):
+        raise ValueError(f"checkpoint manifest 'tensors' must be a list, got {type(tensors).__name__}")
+    for n, entry in enumerate(tensors):
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint manifest tensors[{n}] must be an object, got {type(entry).__name__}")
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ValueError(f"checkpoint manifest tensors[{n}] 'name' must be a string, got {name!r}")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
+            raise ValueError(f"checkpoint tensor {name!r}: 'shape' must be a list of non-negative ints, "
+                             f"got {shape!r}")
+        for field in ("offset", "nbytes"):
+            if not _is_int(entry.get(field)):
+                raise ValueError(f"checkpoint tensor {name!r}: {field!r} must be an int, got {entry.get(field)!r}")
+
+
 def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read back (manifest, {qualified name: array}).
 
-    Rejects another format, and any tensor whose byte count disagrees with
-    its shape or whose bytes run past the end of params.bin.
+    Rejects another format, a malformed tensor list, and any tensor whose
+    byte count disagrees with its shape or whose bytes run past the end of
+    params.bin.
     """
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
+    _check_manifest_tensors(manifest.get("tensors"))
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         raw = fh.read()
     state: dict[str, np.ndarray] = {}

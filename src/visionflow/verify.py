@@ -2,7 +2,8 @@
 
 Each oracle re-implements its target's definition along a different path
 (pure-Python greedy suppression, nested-loop bilinear sampling, central
-finite differences) so a shared bug cannot hide. Suites report one named
+finite differences, the fused tensor ops written with the generic ones) so
+a shared bug cannot hide. Suites report one named
 check per property; `inject_fault` deliberately perturbs one analytic
 gradient to prove the battery can fail.
 """
@@ -23,7 +24,6 @@ from .assembly import (
     TokenSequence,
     assemble,
     assemble_video,
-    gelu,
     greedy_decode,
     score_answer,
     scorer_logits,
@@ -36,7 +36,7 @@ from .encoders import EncoderConfig, HighResEncoder, generate_scene, render_scen
 from .fusion import fuse
 from .pipeline import build_components, prepare_sample, run_image, scene_boxes
 from .roi import MultiScalePyramid, RoiConfig, build_pyramid, extract_object_features, roi_align
-from .tensor import Tensor, affine, bilinear_sample, concat, conv1d, one_hot
+from .tensor import Tensor, affine, bilinear_sample, causal_attention, concat, conv1d, gelu, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
 FD_TOLERANCE = 1e-4
@@ -213,17 +213,36 @@ def naive_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def composed_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` without broadcasting: the bias row is expanded by a
+    constant ones-column matmul."""
+    ones = Tensor(np.ones((x.shape[0], 1), dtype=x.data.dtype))
+    return x @ w + ones @ b.reshape(1, b.shape[0])
+
+
+def composed_gelu(x: Tensor) -> Tensor:
+    """The tanh-approximate GELU written with the elementwise ops."""
+    inner = (x + (x * x * x) * 0.044715) * math.sqrt(2.0 / math.pi)
+    return x * 0.5 * (inner.tanh() + 1.0)
+
+
+def composed_causal_attention(q: Tensor, k: Tensor, v: Tensor, first: int) -> Tensor:
+    """Causal attention from the generic ops: a -1e9 mask on the keys after
+    ``first + i`` is added to the scores before the softmax."""
+    scores = (q @ k.T) * (1.0 / math.sqrt(q.shape[1]))
+    mask = np.triu(np.full((q.shape[0], k.shape[0]), -1e9), k=first + 1)
+    return (scores + Tensor(mask)).softmax(axis=-1) @ v
+
+
 def full_scorer_logits(prefix: Tensor, answer_ids: list[int], p: ScorerParams) -> Tensor:
-    """The scorer over the whole sequence: every row of [prefix; answer] is a
-    query under a [T, T] mask, then the prediction rows are narrowed out."""
+    """The scorer over the whole sequence, built from the composed ops: every
+    row of [prefix; answer] is a query under a [T, T] mask, then the
+    prediction rows are narrowed out."""
     full = concat([prefix, one_hot(answer_ids, p.embed.shape[0]) @ p.embed], axis=0)
     full = full + Tensor(sinusoidal_positions(full.shape[0], full.shape[1]))
-    t, d = full.shape
-    scores = ((full @ p.wq) @ (full @ p.wk).T) * (1.0 / math.sqrt(d))
-    weights = (scores + Tensor(np.triu(np.full((t, t), -1e9), k=1))).softmax(axis=-1)
-    x = full + weights @ (full @ p.wv)
-    hidden = x + affine(gelu(affine(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
-    return affine(hidden.narrow(0, prefix.shape[0] - 1, len(answer_ids)), p.out_w, p.out_b)
+    x = full + composed_causal_attention(full @ p.wq, full @ p.wk, full @ p.wv, 0)
+    hidden = x + composed_affine(composed_gelu(composed_affine(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
+    return composed_affine(hidden.narrow(0, prefix.shape[0] - 1, len(answer_ids)), p.out_w, p.out_b)
 
 
 def full_greedy_decode(prefix: Tensor, p: ScorerParams, max_new: int) -> list[int]:
@@ -323,14 +342,19 @@ def _op_gradient_cases(gen: np.random.Generator):
     x = t((6, 3))
     w = t((4, 3, 3), scale=0.5)
     bias = t((4,), scale=0.1)
-    pos = Tensor(np.abs(gen.normal(2.0, 0.5, size=(3, 4))) + 0.5, requires_grad=True)
-    away = Tensor(gen.normal(0.0, 1.0, size=(3, 4)) + np.sign(gen.normal(size=(3, 4))) * 0.2,
-                  requires_grad=True)
     grid = t((5, 6, 3))
     points = np.stack([gen.uniform(0.0, 5.0, size=8), gen.uniform(0.0, 6.0, size=8)], axis=1)
     aff_x, aff_w, aff_b = t((4, 3)), t((3, 5)), t((5,))
+    att_q, att_k, att_v, att_row = t((3, 4)), t((5, 4)), t((5, 2)), t((1, 4))
     row_w = Tensor(gen.normal(size=(4,)))  # constants: weights for reductions
     col_w = Tensor(gen.normal(size=(3,)))
+    att_w = Tensor(gen.normal(size=(3, 2)))
+
+    def attention(q: Tensor, first: int) -> Tensor:
+        out = causal_attention(q, att_k, att_v, first)
+        return (out * att_w.narrow(0, 0, q.shape[0])).sum()
+
+    attention_leaves = [("k", att_k), ("v", att_v)]
 
     return [
         ("add", lambda: (a + b).sum(), [("a", a), ("b", b)]),
@@ -341,8 +365,7 @@ def _op_gradient_cases(gen: np.random.Generator):
         ("conv1d", lambda: conv1d(x, w, bias).sum(), [("x", x), ("w", w), ("bias", bias)]),
         ("sigmoid", lambda: a.sigmoid().sum(), [("a", a)]),
         ("tanh", lambda: a.tanh().sum(), [("a", a)]),
-        ("relu", lambda: (away.relu() * b).sum(), [("away", away), ("b", b)]),
-        ("log", lambda: pos.log().sum(), [("pos", pos)]),
+        ("gelu", lambda: (gelu(a) * b).sum(), [("a", a), ("b", b)]),
         ("softmax", lambda: (a.softmax(axis=-1) * b).sum(), [("a", a), ("b", b)]),
         ("log_softmax", lambda: (a.log_softmax(axis=-1) * b).sum(), [("a", a), ("b", b)]),
         ("sum_axis", lambda: (a.sum(axis=0) * row_w).sum(), [("a", a)]),
@@ -352,6 +375,9 @@ def _op_gradient_cases(gen: np.random.Generator):
         ("bilinear_sample", lambda: bilinear_sample(grid, points).sum(), [("grid", grid)]),
         ("affine", lambda: affine(aff_x, aff_w, aff_b).sum(),
          [("x", aff_x), ("w", aff_w), ("b", aff_b)]),
+        ("causal_attention_first_0", lambda: attention(att_q, 0), [("q", att_q)] + attention_leaves),
+        ("causal_attention_first_t_minus_l", lambda: attention(att_q, 2), [("q", att_q)] + attention_leaves),
+        ("causal_attention_one_row", lambda: attention(att_row, 1), [("q", att_row)] + attention_leaves),
         ("onehot_pick", lambda: (one_hot([1, 0, 2], 3) @ a).sum(), [("a", a)]),
     ]
 
@@ -528,6 +554,53 @@ def suite_scorer(seed: int = 0, cases: int = 40) -> SuiteResult:
     return suite
 
 
+def suite_ops(seed: int = 0, cases: int = 40) -> SuiteResult:
+    """The fused ``affine``, ``gelu`` and ``causal_attention`` against the
+    compositions they replaced: forwards equal, and gradients within
+    ``FD_TOLERANCE`` of the composition's. The first five cases are the
+    attention edges (T, L, first): one key, L = 1 at first = 0 and at
+    first = T - 1, and L = 3 at first = 0 and at first = T - L."""
+    suite = SuiteResult("ops")
+    edges = [(1, 1, 0), (7, 1, 0), (7, 1, 6), (7, 3, 0), (7, 3, 4)]
+    differ: list[str] = []
+    worst, worst_name = 0.0, ""
+    for case in range(cases):
+        gen = rng.stream(seed, f"verify.ops.{case}")
+        if case < len(edges):
+            t_len, ell, first = edges[case]
+        else:
+            t_len = int(gen.integers(1, 40))
+            ell = int(gen.integers(1, t_len + 1))
+            first = int(gen.integers(0, t_len - ell + 1))
+        rows, d, d_v = (int(n) for n in gen.integers(1, 9, size=3))
+        x, w, b, q, k, v = (Tensor(gen.normal(size=shape), requires_grad=True) for shape in
+                            ((rows, d), (d, d_v), (d_v,), (ell, d), (t_len, d), (t_len, d_v)))
+        for name, fused, composed, args in (
+            ("affine", affine, composed_affine, (x, w, b)),
+            ("gelu", gelu, composed_gelu, (x,)),
+            ("causal_attention", lambda *a: causal_attention(*a, first),
+             lambda *a: composed_causal_attention(*a, first), (q, k, v)),
+        ):
+            outs = (fused(*args), composed(*args))
+            if not np.array_equal(outs[0].data, outs[1].data):
+                differ.append(f"{name} case {case}")
+            weights = Tensor(gen.normal(size=outs[0].shape))
+            grads = []
+            for out in outs:
+                for a in args:
+                    a.zero_grad()
+                (out * weights).sum().backward()
+                grads.append([a.grad for a in args])
+            for n, (g_fused, g_composed) in enumerate(zip(*grads)):
+                err = relative_error(g_fused, g_composed)
+                if err > worst:
+                    worst, worst_name = err, f"{name} input {n}, case {case}"
+    suite.add("fused_equals_composed", not differ and worst < FD_TOLERANCE,
+              f"{cases} cases x 3 ops: forwards " + (f"differ in {differ[:3]}" if differ else "equal")
+              + f"; max gradient rel err {worst:.3g}" + (f" at {worst_name}" if worst_name else ""))
+    return suite
+
+
 def suite_tokens(seed: int = 0, draws: int = 60) -> SuiteResult:
     suite = SuiteResult("tokens")
     gen = rng.stream(seed, "verify.tokens")
@@ -625,6 +698,7 @@ SUITE_BUILDERS: dict[str, Callable[..., SuiteResult]] = {
     "gradients": suite_gradients,
     "nms": suite_nms,
     "roi": suite_roi,
+    "ops": suite_ops,
     "scorer": suite_scorer,
     "tokens": suite_tokens,
     "freeze": suite_freeze,
@@ -648,7 +722,7 @@ def run_suites(names: list[str] | None = None, seed: int = 0, fast: bool = False
             kwargs["trials"] = 100 if fast else 1000
         elif name == "roi":
             kwargs["pairs"] = 50 if fast else 500
-        elif name == "scorer":
+        elif name in ("ops", "scorer"):
             kwargs["cases"] = 16 if fast else 40
         results.append(SUITE_BUILDERS[name](**kwargs))
     return results

@@ -18,14 +18,17 @@ from visionflow.assembly import (
     TokenSequence,
     assemble,
     assemble_video,
-    gelu,
     greedy_decode,
+    position_table,
     scorer_logits,
     score_answer,
     sinusoidal_positions,
 )
+from visionflow.config import RunConfig
+from visionflow.encoders import generate_scene
 from visionflow.fusion import CrossAttentionParams
-from visionflow.tensor import Tensor
+from visionflow.pipeline import build_components, run_image
+from visionflow.tensor import Tensor, gelu
 from visionflow.verify import fd_check, full_greedy_decode, full_scorer_logits
 
 D = 8
@@ -265,6 +268,14 @@ def test_sinusoidal_positions_shape_and_range():
     assert not np.allclose(table[0], table[1])
 
 
+@pytest.mark.parametrize("dim", [16, 32])
+def test_position_table_prefix_equals_a_fresh_table_and_is_read_only(dim):
+    for length in range(1, 2001):
+        view = position_table(length, dim)
+        assert np.array_equal(view, sinusoidal_positions(length, dim)), length
+        assert not view.flags.writeable
+
+
 def test_gelu_matches_reference_form():
     gen = rng.stream(15, "test.assembly.gelu")
     x = gen.normal(size=(4, 3))
@@ -272,3 +283,25 @@ def test_gelu_matches_reference_form():
     c = math.sqrt(2.0 / math.pi)
     want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# run_image result_hash on the default config (scene of the same seed, 3
+# objects, prompt 1,2,3), scored on answer 4,5 and decoding 8 tokens, as
+# computed with the composed ops: ones-column affine, elementwise gelu and a
+# -1e9 mask before a softmax node. The fused ops must leave them unchanged.
+COMPOSED_OPS_HASHES = {
+    0: ("71ab0bce0b5a484cb7f8f04a5371a514cdc632d82439d7764703f52007d106dd",
+        "86f1aa72e7f4fd5467b9110c267bda69efd38aa340eb9b99f5c39798a5aa7286"),
+    7: ("d89c074bb37e3d53c2e195e576cf40342e129e233a3b5c99f376a37c2d4a7f47",
+        "79dfced0a71371ac18beb63c792e7aadde246af4aabd15759ab5a256df8895d6"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(COMPOSED_OPS_HASHES))
+def test_run_image_hashes_equal_the_composed_ops(seed):
+    cfg = RunConfig(seed=seed)
+    comp = build_components(cfg)
+    scene = generate_scene(seed, n_objects=3)
+    scored = run_image(cfg, scene, [1, 2, 3], answer_ids=[4, 5], components=comp)
+    decoded = run_image(cfg, scene, [1, 2, 3], decode=8, components=comp)
+    assert (scored["result_hash"], decoded["result_hash"]) == COMPOSED_OPS_HASHES[seed]

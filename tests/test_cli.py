@@ -237,6 +237,23 @@ def test_infer_rejects_a_truncated_checkpoint_naming_the_tensor(tmp_path, tiny_c
     assert repr(last) in err and "run past params.bin" in err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.update(tensors=None), "'tensors' must be a list"),
+    (lambda m: m["tensors"][0].update(shape="3x4"), "'shape' must be a list"),
+    (lambda m: m["tensors"].insert(0, 42), "tensors[0] must be an object"),
+])
+def test_infer_rejects_a_malformed_checkpoint_manifest_naming_the_field(tmp_path, tiny_checkpoint, capsys,
+                                                                         edit, field):
+    ckpt = copy_checkpoint(tiny_checkpoint, tmp_path / "bad")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["infer", *TINY, *ONE_STEP, "--seed", "0", "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert field in err and "Traceback" not in err
+
+
 def test_stats_command(tmp_path, capsys):
     from visionflow.boxes import MockDetector, SyntheticTags, generate_boxes, save_box_file
 

@@ -11,13 +11,24 @@ from visionflow.tensor import (
     Tensor,
     affine,
     bilinear_sample,
+    causal_attention,
     concat,
     conv1d,
     from_json_dict,
+    gelu,
     one_hot,
     to_json_dict,
 )
-from visionflow.verify import fd_check, naive_conv1d, naive_matmul
+from visionflow.verify import (
+    FD_TOLERANCE,
+    composed_affine,
+    composed_causal_attention,
+    composed_gelu,
+    fd_check,
+    naive_conv1d,
+    naive_matmul,
+    relative_error,
+)
 
 
 def test_add_values():
@@ -186,8 +197,8 @@ def test_log_softmax_stays_finite_under_extreme_logits():
     assert np.all(np.isfinite(out.data))
     # the naive composition underflows here
     with np.errstate(divide="ignore"):
-        composed = x.softmax(axis=-1).log()
-    assert not np.all(np.isfinite(composed.data))
+        composed = np.log(x.softmax(axis=-1).data)
+    assert not np.all(np.isfinite(composed))
 
 
 def test_log_softmax_matches_composition_in_safe_range():
@@ -245,6 +256,63 @@ def test_affine_bias_gradient_is_column_sum():
     np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
 
 
+def _fused_and_composed(op, gen, t_len=5, ell=3, first=2):
+    """(fused, composed, leaves) for one fused op on seeded inputs."""
+    def leaf(*shape):
+        return Tensor(gen.normal(size=shape), requires_grad=True)
+
+    if op == "affine":
+        leaves = [leaf(4, 3), leaf(3, 5), leaf(5)]
+        return affine, composed_affine, leaves
+    if op == "gelu":
+        return gelu, composed_gelu, [leaf(4, 3)]
+    leaves = [leaf(ell, 4), leaf(t_len, 4), leaf(t_len, 2)]
+    return (lambda *a: causal_attention(*a, first),
+            lambda *a: composed_causal_attention(*a, first), leaves)
+
+
+@pytest.mark.parametrize("op, t_len, ell, first", [
+    ("affine", 0, 0, 0),
+    ("gelu", 0, 0, 0),
+    ("causal_attention", 1, 1, 0),  # one key
+    ("causal_attention", 5, 1, 0),  # L = 1, first = 0
+    ("causal_attention", 5, 1, 4),  # L = 1, first = T - L
+    ("causal_attention", 5, 3, 0),  # first = 0
+    ("causal_attention", 5, 3, 2),  # first = T - L
+])
+def test_fused_op_equals_composition_and_passes_fd(op, t_len, ell, first):
+    gen = rng.stream(t_len * 100 + ell * 10 + first, f"test.fused.{op}")
+    fused, composed, leaves = _fused_and_composed(op, gen, t_len, ell, first)
+    out = fused(*leaves)
+    np.testing.assert_array_equal(out.data, composed(*leaves).data)
+    weights = Tensor(gen.normal(size=out.shape))
+    grads = []
+    for fn in (fused, composed):
+        for leaf in leaves:
+            leaf.zero_grad()
+        (fn(*leaves) * weights).sum().backward()
+        grads.append([leaf.grad for leaf in leaves])
+    for g_fused, g_composed in zip(*grads):
+        assert relative_error(g_fused, g_composed) < FD_TOLERANCE
+    named = [(f"in{n}", leaf) for n, leaf in enumerate(leaves)]
+    errors = fd_check(lambda: (fused(*leaves) * weights).sum(), named, gen)
+    assert max(errors.values()) < FD_TOLERANCE, errors
+
+
+def test_fused_ops_record_one_tape_node():
+    gen = rng.stream(0, "test.fused.nodes")
+    for op in ("affine", "gelu", "causal_attention"):
+        fused, _, leaves = _fused_and_composed(op, gen)
+        order = fused(*leaves).sum().linearize()
+        assert [n._op for n in order if not n.is_leaf()] == [op, "sum"]
+
+
+def test_causal_attention_rejects_rows_past_the_keys():
+    q, kv = Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2)))
+    with pytest.raises(ShapeError, match="exceed 4 keys"):
+        causal_attention(q, kv, kv, 2)
+
+
 def test_one_hot_bounds():
     with pytest.raises(ValueError, match="out of range"):
         one_hot([0, 7], 4)
@@ -263,7 +331,7 @@ def test_deterministic_replay_is_bit_identical():
 def test_outputs_stay_finite_on_finite_inputs():
     gen = rng.stream(3, "test.finite")
     x = Tensor(gen.normal(scale=30.0, size=(50,)))
-    for out in (x.sigmoid(), x.tanh(), x.relu(), x.softmax(axis=-1)):
+    for out in (x.sigmoid(), x.tanh(), x.softmax(axis=-1)):
         assert np.all(np.isfinite(out.data))
 
 

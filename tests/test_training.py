@@ -9,6 +9,7 @@ import pytest
 
 from visionflow import rng
 from visionflow.assembly import MergeMethod
+from visionflow.datagen import generate_dataset, small_training_config
 from visionflow.pipeline import build_components, prepare_sample
 from visionflow.training import (
     Adam,
@@ -21,6 +22,7 @@ from visionflow.training import (
     load_checkpoint_state,
     mean_dataset_nll,
     restore_model,
+    sample_loss,
     save_checkpoint,
     train_two_stage,
 )
@@ -190,3 +192,15 @@ def test_prepared_pipeline_samples_train(tmp_path):
     train_two_stage(comp.model, prepared, TrainConfig(stage1_steps=10, stage2_steps=20, batch_size=4))
     final = mean_dataset_nll(comp.model, prepared, cfg.assembly.merge)
     assert final < initial
+
+
+def test_sample_loss_tape_has_at_most_40_op_nodes():
+    # 87 op nodes with the composed affine (4 nodes), gelu (9) and masked
+    # softmax attention; the fused ops record one node each
+    cfg = small_training_config(0)
+    comp = build_components(cfg)
+    raw = generate_dataset(cfg, n_samples=1)[0]
+    sample = prepare_sample(comp, raw.scene, raw.text_ids, raw.answer_ids)
+    loss = sample_loss(comp.model, sample, cfg.assembly.merge)
+    ops = [node for node in loss.linearize() if not node.is_leaf()]
+    assert len(ops) <= 40
