@@ -2,7 +2,7 @@
 toy trainable answer scorer, built on a minimal reverse-mode tensor core."""
 
 from .assembly import MergeMethod, TokenSequence, assemble, assemble_video, score_answer
-from .boxes import Detection, DetectionSet, box_stats, generate_boxes, iou, nms
+from .boxes import Detection, DetectionSet, box_stats, generate_boxes, iou
 from .config import RunConfig, load_config
 from .encoders import (
     EncoderConfig,

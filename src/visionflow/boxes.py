@@ -87,7 +87,6 @@ class Detection:
 class DetectionSet:
     image_id: str
     detections: list[Detection] = field(default_factory=list)
-    provenance: str = "mock"  # mock | file | external
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -96,11 +95,10 @@ class DetectionSet:
         return {"image_id": self.image_id, "detections": [d.to_dict() for d in self.detections]}
 
     @classmethod
-    def from_dict(cls, obj: dict, provenance: str = "file") -> DetectionSet:
+    def from_dict(cls, obj: dict) -> DetectionSet:
         return cls(
             image_id=str(obj["image_id"]),
             detections=[Detection.from_dict(d) for d in obj["detections"]],
-            provenance=provenance,
         )
 
 
@@ -156,11 +154,6 @@ def nms_indices(dets: list[Detection], iou_threshold: float, class_aware: bool =
             suppress &= same
         alive[rest[suppress]] = False
     return keep
-
-
-def nms(dets: DetectionSet, iou_threshold: float, class_aware: bool = True) -> DetectionSet:
-    keep = nms_indices(dets.detections, iou_threshold, class_aware)
-    return DetectionSet(dets.image_id, [dets.detections[i] for i in keep], dets.provenance)
 
 
 # -- tag sources ---------------------------------------------------------------
@@ -301,7 +294,7 @@ def generate_boxes(
     except Exception as exc:  # noqa: BLE001 - stage name must reach the caller
         raise PipelineError("tag", str(exc)) from exc
     if not labels:
-        return DetectionSet(scene.image_id, [], provenance="mock")
+        return DetectionSet(scene.image_id, [])
     try:
         proposals = detector.detect(scene, labels)
     except Exception as exc:  # noqa: BLE001
@@ -310,8 +303,7 @@ def generate_boxes(
     scored = [d for d in clipped if d.score >= cfg.score_floor]
     keep = nms_indices(scored, cfg.nms_iou, cfg.class_aware)
     survivors = [scored[i] for i in keep][: cfg.max_boxes]
-    provenance = "file" if isinstance(detector, FileDetector) else "mock"
-    return DetectionSet(scene.image_id, survivors, provenance=provenance)
+    return DetectionSet(scene.image_id, survivors)
 
 
 def box_stats(corpus: list[DetectionSet]) -> dict[str, int]:

@@ -7,6 +7,7 @@ Config precedence is flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -156,9 +157,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic training dataset or video")
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_int_at_least(1), default=32)
     p.add_argument("--video", action="store_true", help="emit a video descriptor instead")
-    p.add_argument("--frames", type=int, default=8)
+    p.add_argument("--frames", type=_int_at_least(1), default=8)
     p.add_argument("--small-config", action="store_true",
                    help="use the bundled desk-scale training config")
     return parser
@@ -191,9 +192,11 @@ def cmd_infer(args) -> int:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if "frames" in payload:
+        if isinstance(payload, dict) and "frames" in payload:
             if args.boxes_file:
                 raise UsageError("--boxes-file applies to single images, but --input names a video")
+            if not isinstance(payload["frames"], list):
+                raise ValueError(f"video 'frames' must be a list, got {type(payload['frames']).__name__}")
             frames = [SceneDescriptor.from_dict(f) for f in payload["frames"]]
             report = run_video(cfg, frames, text_ids, answer_ids, args.decode, components,
                                threads=args.threads)
@@ -219,12 +222,13 @@ def cmd_train(args) -> int:
     model = components.model
     train_cfg = cfg.train
     if args.stage == "pretrain":
-        train_cfg = _replace_steps(train_cfg, stage2=0)
+        train_cfg = dataclasses.replace(train_cfg, stage2_steps=0)
     elif args.stage == "finetune":
-        train_cfg = _replace_steps(train_cfg, stage1=0)
-    initial = mean_dataset_nll(model, prepared, cfg.assembly.merge)
-    curve = train_two_stage(model, prepared, train_cfg, merge=cfg.assembly.merge)
-    final = mean_dataset_nll(model, prepared, cfg.assembly.merge)
+        train_cfg = dataclasses.replace(train_cfg, stage1_steps=0)
+    merge, text_first = cfg.assembly.merge, cfg.assembly.text_first
+    initial = mean_dataset_nll(model, prepared, merge, text_first)
+    curve = train_two_stage(model, prepared, train_cfg, merge=merge, text_first=text_first)
+    final = mean_dataset_nll(model, prepared, merge, text_first)
     os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(model, args.out_dir, stage=args.stage, seed=cfg.seed,
                     config_hash=cfg.config_hash())
@@ -244,16 +248,6 @@ def cmd_train(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
-
-
-def _replace_steps(tc, stage1=None, stage2=None):
-    import dataclasses
-    updates = {}
-    if stage1 is not None:
-        updates["stage1_steps"] = stage1
-    if stage2 is not None:
-        updates["stage2_steps"] = stage2
-    return dataclasses.replace(tc, **updates)
 
 
 def cmd_verify(args) -> int:

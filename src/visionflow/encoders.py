@@ -270,8 +270,14 @@ class SceneDescriptor:
 
     @classmethod
     def from_dict(cls, obj: dict) -> SceneDescriptor:
+        if not isinstance(obj, dict):
+            raise ValueError(f"a scene must be a JSON object, got {type(obj).__name__}")
+        if not isinstance(obj.get("objects", []), list):
+            raise ValueError(f"scene objects must be a list, got {type(obj['objects']).__name__}")
         objects = []
         for n, o in enumerate(obj.get("objects", [])):
+            if not isinstance(o, dict):
+                raise ValueError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
             coords = [float(o[k]) for k in ("x0", "y0", "x1", "y1")]
             for key, value in zip(("x0", "y0", "x1", "y1"), coords):
                 if not math.isfinite(value):
@@ -341,11 +347,6 @@ def render_scene(desc: SceneDescriptor) -> SyntheticImage:
         color = _label_color(obj.label)
         canvas[y0:y1, x0:x1] = color + 0.05 * gen.random((max(0, y1 - y0), max(0, x1 - x0), 3))
     return SyntheticImage(desc.height, desc.width, np.clip(canvas, 0.0, 1.0))
-
-
-def load_descriptor(path: str) -> SceneDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SceneDescriptor.from_dict(json.load(fh))
 
 
 def save_descriptor(desc: SceneDescriptor, path: str) -> None:

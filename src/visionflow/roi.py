@@ -5,8 +5,8 @@ stride-4 grid and channel-concatenated, on demand and only for the rows and
 columns a read touches. Each detection is then read out of that pyramid
 with quantization-free bilinear sampling (boxes mapped to grid units by
 dividing by the pyramid stride, clipped, never rejected unless they collapse
-to zero area) and average-pooled to one vector per box. Gradients flow from
-pooled vectors back to pyramid values.
+to zero area) and average-pooled to one vector per box. The encoders are
+frozen; only ``roi_align`` on a tracked grid carries gradients to the pyramid.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import sampling
 from .boxes import Detection, DetectionSet
 from .encoders import FeatureGrid
-from .tensor import Tensor, bilinear_sample, concat
+from .tensor import Tensor, bilinear_sample
 
 
 class PyramidError(ValueError):
@@ -181,36 +181,21 @@ class ObjectFeatureSet:
     def k(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.features.shape[1]
-
 
 def extract_object_features(
     pyramid: MultiScalePyramid,
     dets: DetectionSet,
     cfg: RoiConfig = RoiConfig(),
-    grid_tensor: Tensor | None = None,
 ) -> ObjectFeatureSet:
     """RoI-align each box then average-pool to a single vector per box.
 
-    Without ``grid_tensor`` (inference) all boxes are read at once from one
-    pyramid window spanning the rows and columns their samples touch, with
-    the same arithmetic as :func:`roi_align`, so rows are bit-identical to it.
-    With ``grid_tensor`` each box goes through :func:`roi_align` on the tape.
+    All boxes are read at once from one pyramid window spanning the rows and
+    columns their samples touch, with the same arithmetic as
+    :func:`roi_align`, so rows are bit-identical to it.
     """
     c = pyramid.channels
     if len(dets) == 0:
         return ObjectFeatureSet(features=Tensor(np.zeros((0, c))))
-    if grid_tensor is not None:
-        rows = []
-        for i, det in enumerate(dets.detections):
-            try:
-                aligned = roi_align(pyramid, det, cfg, grid_tensor=grid_tensor)
-            except DegenerateBoxError as exc:
-                raise DegenerateBoxError(exc.box, box_index=i) from exc
-            rows.append(aligned.mean(axis=(0, 1)).reshape(1, c))
-        return ObjectFeatureSet(features=concat(rows, axis=0))
     points = np.concatenate([_box_points(pyramid, det, cfg, i) for i, det in enumerate(dets.detections)])
     i0, i1, j0, j1, wts = sampling.corner_weights(pyramid.height, pyramid.width, points)
     rows, cols = np.union1d(i0, i1), np.union1d(j0, j1)

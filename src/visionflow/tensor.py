@@ -7,13 +7,11 @@ backward: ``affine`` (``x @ w + b``), ``gelu`` (tanh approximation) and
 ``causal_attention`` (``softmax(q k^T / sqrt(d)) v`` over the keys each
 query may see). ``one_hot`` builds constant rows.
 
-Values are row-major numpy arrays, double precision by default (gradient
-checks demand it); float32 is an opt-in storage mode and is excluded from
-gradient tolerance guarantees. Tensors are immutable values after
-construction: ops allocate fresh output arrays and never write into their
-inputs. There is no broadcasting beyond scalar-with-tensor (``affine``
-adds its bias row inside the op); any other shape mismatch raises
-``ShapeError`` naming both shapes.
+Values are row-major float64 numpy arrays (gradient checks demand double
+precision). Tensors are immutable values after construction: ops allocate
+fresh output arrays and never write into their inputs. There is no
+broadcasting beyond scalar-with-tensor (``affine`` adds its bias row inside
+the op); any other shape mismatch raises ``ShapeError`` naming both shapes.
 
 Each op records its inputs and a backward closure on the output node, so the
 graph reachable from a loss is an op tape in topological order;
@@ -45,8 +43,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
-        self.data: np.ndarray = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -56,24 +54,15 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zeros(cls, shape: Sequence[int], requires_grad: bool = False, dtype=np.float64) -> Tensor:
-        return cls(np.zeros(tuple(shape), dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-    @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward_fn = backward_fn
-            out._op = op
-        else:
-            # untracked subgraphs are pruned so backward never visits them
-            out._parents = ()
-            out._backward_fn = None
-            out._op = op
+        # untracked subgraphs are pruned so backward never visits them
+        out._parents = parents if out.requires_grad else ()
+        out._backward_fn = backward_fn if out.requires_grad else None
+        out._op = op
         return out
 
     # -- basic introspection ---------------------------------------------------
@@ -92,9 +81,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def tolist(self):
-        return self.data.tolist()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -556,19 +542,3 @@ def one_hot(indices: Iterable[int], depth: int) -> Tensor:
         rows[np.arange(idx.size), idx] = 1.0
     return Tensor(rows)
 
-
-# -- JSON wire format ---------------------------------------------------------
-
-
-def to_json_dict(t: Tensor) -> dict:
-    """Serialize as {"shape": [...], "data": [...]} with row-major data."""
-    return {"shape": list(t.shape), "data": [float(v) for v in t.data.ravel()]}
-
-
-def from_json_dict(obj: dict) -> Tensor:
-    shape = tuple(int(s) for s in obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    expected = int(np.prod(shape)) if shape else 1
-    if data.size != expected:
-        raise ValueError(f"tensor data length {data.size} does not match shape {shape}")
-    return Tensor(data.reshape(shape))

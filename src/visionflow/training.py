@@ -176,10 +176,11 @@ def sample_loss(model: ModelParams, sample: PreparedSample, merge: MergeMethod,
     return score_answer(seq, sample.answer_ids, model.scorer)
 
 
-def mean_dataset_nll(model: ModelParams, dataset: list[PreparedSample], merge: MergeMethod) -> float:
+def mean_dataset_nll(model: ModelParams, dataset: list[PreparedSample], merge: MergeMethod,
+                     text_first: bool = False) -> float:
     total = 0.0
     for sample in dataset:
-        total += sample_loss(model, sample, merge).item()
+        total += sample_loss(model, sample, merge, text_first).item()
     return total / len(dataset)
 
 
@@ -191,7 +192,7 @@ class CurvePoint:
 
 
 def _run_stage(model: ModelParams, dataset: list[PreparedSample], merge: MergeMethod,
-               stage: str, steps: int, lr: float, batch_size: int,
+               text_first: bool, stage: str, steps: int, lr: float, batch_size: int,
                start_step: int) -> list[CurvePoint]:
     mask = FreezeMask.for_stage(stage, model)
     mask.apply(model)
@@ -203,7 +204,7 @@ def _run_stage(model: ModelParams, dataset: list[PreparedSample], merge: MergeMe
         opt.zero_grad()
         base = (s * batch_size) % n
         batch = [dataset[(base + j) % n] for j in range(min(batch_size, n))]
-        losses = [sample_loss(model, sample, merge) for sample in batch]
+        losses = [sample_loss(model, sample, merge, text_first) for sample in batch]
         total = losses[0]
         for extra in losses[1:]:
             total = total + extra
@@ -214,14 +215,14 @@ def _run_stage(model: ModelParams, dataset: list[PreparedSample], merge: MergeMe
     return curve
 
 
-def train_two_stage(model: ModelParams, dataset: list[PreparedSample],
-                    cfg: TrainConfig, merge: MergeMethod = MergeMethod.CONCAT) -> list[CurvePoint]:
+def train_two_stage(model: ModelParams, dataset: list[PreparedSample], cfg: TrainConfig,
+                    merge: MergeMethod = MergeMethod.CONCAT, text_first: bool = False) -> list[CurvePoint]:
     """Run both stages in place on ``model``; returns the per-step loss curve."""
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
-    curve = _run_stage(model, dataset, merge, "pretrain", cfg.stage1_steps,
+    curve = _run_stage(model, dataset, merge, text_first, "pretrain", cfg.stage1_steps,
                        cfg.lr_stage1, cfg.batch_size, start_step=0)
-    curve += _run_stage(model, dataset, merge, "finetune", cfg.stage2_steps,
+    curve += _run_stage(model, dataset, merge, text_first, "finetune", cfg.stage2_steps,
                         cfg.lr_stage2, cfg.batch_size, start_step=cfg.stage1_steps)
     return curve
 

@@ -32,10 +32,10 @@ from .assembly import (
 from .boxes import Detection, nms_indices
 from .config import RunConfig, config_from_dict
 from .datagen import generate_dataset, small_training_config
-from .encoders import EncoderConfig, HighResEncoder, generate_scene, render_scene
+from .encoders import EncoderConfig, generate_scene
 from .fusion import fuse
-from .pipeline import build_components, prepare_sample, run_image, scene_boxes
-from .roi import MultiScalePyramid, RoiConfig, build_pyramid, extract_object_features, roi_align
+from .pipeline import build_components, encode_frame, prepare_sample, run_image
+from .roi import MultiScalePyramid, RoiConfig, roi_align
 from .tensor import Tensor, affine, bilinear_sample, causal_attention, concat, conv1d, gelu, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
@@ -298,13 +298,7 @@ def full_pipeline_loss_builder(cfg: RunConfig, seed: int):
     comp = build_components(cfg)
     scene = generate_scene(seed, n_objects=3,
                            height=cfg.encoder.high_res, width=cfg.encoder.high_res)
-    img = render_scene(scene)
-    dets = scene_boxes(cfg, scene)
-    e_low = comp.low_encoder.encode(img).flat()
-    stages = comp.high_encoder.encode(img)
-    e_high = stages[-1].flat()
-    pyramid = build_pyramid(stages, expected_strides=cfg.encoder.stage_strides,
-                            image_height=scene.height, image_width=scene.width)
+    e_low, e_high, _, dets, pyramid = encode_frame(comp, scene)
     pyramid_leaf = Tensor(pyramid.grid, requires_grad=True)  # shares the grid array
     gen = rng.stream(seed, "verify.pipeline")
     text_emb = gen.normal(0.0, 1.0, size=(4, cfg.assembly.model_dim))
@@ -496,12 +490,7 @@ def _check_pyramid_window(suite: SuiteResult, seed: int, windows: int = 4) -> No
     """On real encoder stages: windows equal the dense grid bit for bit, and
     the batched RoI read equals per-box ``roi_align`` bit for bit."""
     cfg = RunConfig(seed=seed)
-    scene = generate_scene(seed, n_objects=3)
-    stages = HighResEncoder(cfg.encoder).encode(render_scene(scene))
-    pyramid = build_pyramid(stages, expected_strides=cfg.encoder.stage_strides,
-                            image_height=scene.height, image_width=scene.width)
-    dets = scene_boxes(cfg, scene)
-    batched = extract_object_features(pyramid, dets, cfg.roi).features.data
+    _, _, batched, dets, pyramid = encode_frame(build_components(cfg), generate_scene(seed, n_objects=3))
     gen = rng.stream(seed, "verify.roi.window")
     same = True
     for _ in range(windows):

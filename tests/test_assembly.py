@@ -24,11 +24,14 @@ from visionflow.assembly import (
     score_answer,
     sinusoidal_positions,
 )
+from visionflow.cli import main
 from visionflow.config import RunConfig
-from visionflow.encoders import generate_scene
+from visionflow.datagen import generate_video_descriptor
+from visionflow.encoders import SceneDescriptor, generate_scene
 from visionflow.fusion import CrossAttentionParams
-from visionflow.pipeline import build_components, run_image
+from visionflow.pipeline import build_components, run_image, run_video
 from visionflow.tensor import Tensor, gelu
+from visionflow.training import checkpoint_hash
 from visionflow.verify import fd_check, full_greedy_decode, full_scorer_logits
 
 D = 8
@@ -305,3 +308,32 @@ def test_run_image_hashes_equal_the_composed_ops(seed):
     scored = run_image(cfg, scene, [1, 2, 3], answer_ids=[4, 5], components=comp)
     decoded = run_image(cfg, scene, [1, 2, 3], decode=8, components=comp)
     assert (scored["result_hash"], decoded["result_hash"]) == COMPOSED_OPS_HASHES[seed]
+
+
+# run_video result_hash on the default config for an 8-frame seeded video
+# (all 8 frames sampled, prompt 1,2,3, answer 4,5 scored), and the
+# checkpoint_hash of a 6-step small-config `train` on a 6-sample seed-0
+# dataset, both recorded before the unused RoI, tensor and box paths were
+# removed. Removing code must leave them unchanged.
+VIDEO_HASHES = {
+    0: "a3e7b84b162fa0d42d7d6daeed8f207b5e508e0aa2871ff4dfc015288c0686f4",
+    7: "10d8cde2f184b83aa87d348fbf5c662ea5a46bf6d1b32875f8d6e3eb1787b54e",
+}
+TRAIN_CHECKPOINT_HASH = "e496b2697bf6b2c11aec5cc06fe36873fd6798b2f46b35a78845ed2d1526fb64"
+
+
+@pytest.mark.parametrize("seed", sorted(VIDEO_HASHES))
+def test_run_video_hash_is_pinned(seed):
+    frames = [SceneDescriptor.from_dict(f) for f in generate_video_descriptor(seed, n_frames=8)["frames"]]
+    report = run_video(RunConfig(seed=seed), frames, [1, 2, 3], answer_ids=[4, 5])
+    assert report["frames"] == 8
+    assert report["result_hash"] == VIDEO_HASHES[seed]
+
+
+def test_small_config_train_checkpoint_hash_is_pinned(tmp_path):
+    data = str(tmp_path / "train.json")
+    assert main(["gen-data", "--out", data, "--samples", "6", "--small-config", "--seed", "0"]) == 0
+    assert main(["train", "--small-config", "--seed", "0",
+                 "--set", 'train={"stage1_steps": 3, "stage2_steps": 3, "batch_size": 2}',
+                 "--dataset", data, "--out-dir", str(tmp_path / "ck")]) == 0
+    assert checkpoint_hash(str(tmp_path / "ck")) == TRAIN_CHECKPOINT_HASH

@@ -23,7 +23,6 @@ from visionflow.boxes import (
     iou,
     load_box_file,
     make_tag_source,
-    nms,
     nms_indices,
     save_box_file,
 )
@@ -116,13 +115,6 @@ def test_nms_survivors_are_suppression_free(boxes, thr, aware):
 def test_nms_idempotent(boxes, thr):
     survivors = [boxes[i] for i in nms_indices(boxes, thr)]
     assert nms_indices(survivors, thr) == list(range(len(survivors)))
-
-
-def test_nms_wrapper_preserves_metadata():
-    ds = DetectionSet("img", [det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)], "mock")
-    out = nms(ds, 0.5)
-    assert out.image_id == "img" and out.provenance == "mock"
-    assert [d.score for d in out.detections] == [0.9]
 
 
 def test_generate_boxes_recovers_ground_truth():
@@ -239,7 +231,6 @@ def test_box_file_roundtrip_and_file_detector(tmp_path):
 
     detector = FileDetector(str(path))
     via_file = generate_boxes(scene, SyntheticTags(), detector)
-    assert via_file.provenance == "file"
     assert len(via_file) == len(original)
 
 

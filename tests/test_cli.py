@@ -182,6 +182,34 @@ def test_train_missing_dataset_exits_data(tmp_path):
 ONE_STEP = ["--set", 'train={"stage1_steps": 1, "stage2_steps": 0, "batch_size": 2}']
 
 
+def test_train_orders_tokens_by_text_first(tmp_path, capsys):
+    from visionflow.config import load_config
+    from visionflow.datagen import load_dataset, small_training_config
+    from visionflow.pipeline import build_components, prepare_sample
+    from visionflow.training import sample_loss
+
+    data_path = tmp_path / "train.json"
+    assert main(["gen-data", "--out", str(data_path), "--samples", "4",
+                 "--small-config", "--seed", "0"]) == EXIT_OK
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["train", "--small-config", "--seed", "0", *ONE_STEP, "--set", "assembly.text_first=true",
+                 "--dataset", str(data_path), "--out-dir", str(out_dir)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    cfg = load_config(None, {"assembly.text_first": True}, base=small_training_config(0).to_dict())
+    comp = build_components(cfg)
+    prepared = [prepare_sample(comp, s.scene, s.text_ids, s.answer_ids) for s in load_dataset(str(data_path))]
+
+    def nll(text_first, samples):
+        losses = [sample_loss(comp.model, s, cfg.assembly.merge, text_first).item() for s in samples]
+        return sum(losses) / len(losses)
+
+    assert summary["initial_mean_nll"] == pytest.approx(nll(True, prepared), rel=1e-12)
+    assert abs(nll(True, prepared) - nll(False, prepared)) > 1e-3
+    first_step = (out_dir / "loss_curve.csv").read_text().split("\n")[1].split(",")
+    assert float(first_step[2]) == pytest.approx(nll(True, prepared[:2]), rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpt")
@@ -323,6 +351,33 @@ def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, 
     path.write_text(json.dumps(scene))
     assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ([{"seed": 1}], "a scene must be a JSON object, got list"),
+    ({"frames": 5}, "'frames' must be a list"),
+    ({"seed": 1, "objects": [1]}, "objects[0]"),
+    ({"seed": 1, "objects": {"x0": 1}}, "objects must be a list"),
+    ({"frames": [{"seed": 1, "objects": 7}]}, "objects must be a list"),
+], ids=["top_level_list", "frames_not_a_list", "object_not_an_object", "objects_not_a_list",
+        "frame_objects_not_a_list"])
+def test_malformed_input_file_exits_data_naming_the_field(tmp_path, capsys, payload, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "-3"],
+    ["--samples", "0"],
+    ["--video", "--frames", "0"],
+])
+def test_gen_data_counts_below_one_are_usage_errors(tmp_path, capsys, flags):
+    out = tmp_path / "out.json"
+    assert main(["gen-data", "--out", str(out), *flags]) == EXIT_USAGE
+    assert flags[-2] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -16,7 +16,7 @@ from visionflow.roi import (
     extract_object_features,
     roi_align,
 )
-from visionflow.tensor import Tensor
+from visionflow.tensor import Tensor, concat
 from visionflow.verify import fd_check, naive_bilinear, naive_roi_align
 
 
@@ -209,11 +209,12 @@ def test_gradients_flow_to_pyramid_values():
         Detection(6.0, 6.0, 22.0, 23.0, 0.8, "x"),
     ])
     weights = Tensor(gen.normal(size=(2, 2)))
+    cfg = RoiConfig(bins=(2, 2), samples_per_bin=2)
 
     def loss_fn():
-        feats = extract_object_features(pyr, dets, RoiConfig(bins=(2, 2), samples_per_bin=2),
-                                        grid_tensor=leaf)
-        return (feats.features * weights).sum()
+        rows = [roi_align(pyr, d, cfg, grid_tensor=leaf).mean(axis=(0, 1)).reshape(1, 2)
+                for d in dets.detections]
+        return (concat(rows, axis=0) * weights).sum()
 
     errors = fd_check(loss_fn, [("pyramid", leaf)], gen, max_coords=20)
     assert errors["pyramid"] < 1e-4

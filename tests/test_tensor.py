@@ -14,10 +14,8 @@ from visionflow.tensor import (
     causal_attention,
     concat,
     conv1d,
-    from_json_dict,
     gelu,
     one_hot,
-    to_json_dict,
 )
 from visionflow.verify import (
     FD_TOLERANCE,
@@ -333,21 +331,3 @@ def test_outputs_stay_finite_on_finite_inputs():
     x = Tensor(gen.normal(scale=30.0, size=(50,)))
     for out in (x.sigmoid(), x.tanh(), x.softmax(axis=-1)):
         assert np.all(np.isfinite(out.data))
-
-
-def test_float32_storage_mode():
-    x = Tensor(np.ones(3, dtype=np.float32), dtype=np.float32)
-    y = x + Tensor(np.ones(3, dtype=np.float32), dtype=np.float32)
-    assert y.data.dtype == np.float32
-    # default construction is double precision
-    assert Tensor([1.0]).data.dtype == np.float64
-
-
-def test_json_roundtrip():
-    t = Tensor(np.arange(6.0).reshape(2, 3))
-    obj = to_json_dict(t)
-    assert obj["shape"] == [2, 3]
-    back = from_json_dict(obj)
-    np.testing.assert_array_equal(back.data, t.data)
-    with pytest.raises(ValueError, match="does not match"):
-        from_json_dict({"shape": [2, 2], "data": [1.0, 2.0, 3.0]})
