@@ -6,17 +6,15 @@ from .boxes import Detection, DetectionSet, box_stats, generate_boxes, iou
 from .config import RunConfig, load_config
 from .encoders import (
     EncoderConfig,
-    FeatureGrid,
     HighResEncoder,
     LowResEncoder,
     SceneDescriptor,
-    SyntheticImage,
     TextEmbedder,
     generate_scene,
     render_scene,
 )
 from .fusion import FusionStrategy, conv_gate_fuse, cross_attention, fuse
-from .roi import MultiScalePyramid, ObjectFeatureSet, build_pyramid, extract_object_features, roi_align
+from .roi import MultiScalePyramid, build_pyramid, extract_object_features, roi_align
 from .tensor import Tensor, ShapeError, bilinear_sample, concat, conv1d, one_hot
 from .training import FreezeMask, ModelParams, train_two_stage
 

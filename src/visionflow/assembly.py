@@ -226,20 +226,24 @@ def assemble_video(
     e_text: Tensor,
     merge: MergeMethod = MergeMethod.CONCAT,
     merge_params: CrossAttentionParams | None = None,
+    text_first: bool = False,
 ) -> TokenSequence:
-    """Concatenate per-frame [fused; object] blocks, one trailing text segment."""
+    """Concatenate per-frame [fused; object] blocks and one text segment,
+    trailing by default or leading with ``text_first``."""
     if not frame_streams:
         raise ValueError("video assembly requires at least one frame")
     parts: list[TokenSequence] = []
     for f, (e_fused, e_objects) in enumerate(frame_streams):
         empty_text = Tensor(np.zeros((0, e_fused.shape[1])))
         parts.append(assemble(e_fused, e_objects, empty_text, merge, merge_params, frame=f))
-    segments = tuple(tag for p in parts for tag in p.segments) + (SEGMENT_TEXT,) * e_text.shape[0]
-    frames = tuple(f for p in parts for f in p.frames) + (-1,) * e_text.shape[0]
-    pieces = [p.embeddings for p in parts]
-    if e_text.shape[0] > 0:
-        pieces.append(e_text)
-    return TokenSequence(embeddings=concat(pieces, axis=0), segments=segments, frames=frames)
+    n_text = e_text.shape[0]
+    if n_text > 0:
+        text = TokenSequence(embeddings=e_text, segments=(SEGMENT_TEXT,) * n_text, frames=(-1,) * n_text)
+        parts = [text] + parts if text_first else parts + [text]
+    segments = tuple(tag for p in parts for tag in p.segments)
+    frames = tuple(f for p in parts for f in p.frames)
+    return TokenSequence(embeddings=concat([p.embeddings for p in parts], axis=0),
+                         segments=segments, frames=frames)
 
 
 def causal_hidden(full: Tensor, p: ScorerParams, first: int) -> Tensor:
@@ -275,7 +279,7 @@ def score_answer(seq: TokenSequence, answer_ids: list[int], p: ScorerParams) -> 
     return -picked.mean()
 
 
-def greedy_decode(seq: TokenSequence, p: ScorerParams, max_new: int, stop_id: int | None = None) -> list[int]:
+def greedy_decode(seq: TokenSequence, p: ScorerParams, max_new: int) -> list[int]:
     """Argmax continuation of the sequence; deterministic, no sampling.
 
     Each step scores [generated; placeholder] after the prefix; the
@@ -286,8 +290,5 @@ def greedy_decode(seq: TokenSequence, p: ScorerParams, max_new: int, stop_id: in
     generated: list[int] = []
     for _ in range(max_new):
         logits = scorer_logits(seq.embeddings, generated + [0], p)
-        next_id = int(np.argmax(logits.data[len(generated)]))
-        generated.append(next_id)
-        if stop_id is not None and next_id == stop_id:
-            break
+        generated.append(int(np.argmax(logits.data[len(generated)])))
     return generated

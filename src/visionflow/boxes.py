@@ -229,12 +229,12 @@ class MockDetector:
     exercise NMS. Fully deterministic per (detector seed, scene seed).
     """
 
-    def __init__(self, seed: int = 0, jitter_frac: float = 0.001,
-                 duplicate_jitter: float = 0.05, max_duplicates: int = 2):
+    JITTER_FRAC = 0.001
+    DUPLICATE_JITTER = 0.05
+    MAX_DUPLICATES = 2
+
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.jitter_frac = jitter_frac
-        self.duplicate_jitter = duplicate_jitter
-        self.max_duplicates = max_duplicates
 
     def _jitter(self, obj, frac: float, gen: np.random.Generator) -> tuple[float, float, float, float]:
         w, h = obj.x1 - obj.x0, obj.y1 - obj.y0
@@ -248,11 +248,11 @@ class MockDetector:
         for obj in scene.objects:
             if obj.label not in wanted:
                 continue
-            x0, y0, x1, y1 = self._jitter(obj, self.jitter_frac, gen)
+            x0, y0, x1, y1 = self._jitter(obj, self.JITTER_FRAC, gen)
             score = gen.uniform(0.7, 1.0)
             out.append(Detection(x0, y0, x1, y1, score, obj.label))
-            for _ in range(int(gen.integers(0, self.max_duplicates + 1))):
-                dx0, dy0, dx1, dy1 = self._jitter(obj, self.duplicate_jitter, gen)
+            for _ in range(int(gen.integers(0, self.MAX_DUPLICATES + 1))):
+                dx0, dy0, dx1, dy1 = self._jitter(obj, self.DUPLICATE_JITTER, gen)
                 out.append(Detection(dx0, dy0, dx1, dy1, score * gen.uniform(0.4, 0.9), obj.label))
         return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,66 +96,12 @@ class EncoderConfig:
     def num_tokens(self) -> int:
         return self.tokens_per_side ** 2
 
-    @property
-    def stage_strides(self) -> tuple[int, ...]:
-        return (4, 8, 16, 32)
 
-
-@dataclass(frozen=True)
-class SyntheticImage:
-    """Square-or-not RGB image with values in [0, 1]."""
-
-    height: int
-    width: int
-    data: np.ndarray  # [H, W, 3]
-
-    def __post_init__(self):
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError("image extents must be positive")
-        if self.data.shape != (self.height, self.width, 3):
-            raise ValueError(f"image data shape {self.data.shape} != ({self.height}, {self.width}, 3)")
-        if self.data.min() < 0.0 or self.data.max() > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-
-
-@dataclass
-class FeatureGrid:
-    """Feature tokens with a declared stride and layout."""
-
-    tokens: np.ndarray  # flat [N, C] or spatial [h, w, C]
-    stride: int
-    layout: str  # "flat" | "spatial"
-
-    def __post_init__(self):
-        if self.layout not in ("flat", "spatial"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        expected = 2 if self.layout == "flat" else 3
-        if self.tokens.ndim != expected:
-            raise ValueError(f"{self.layout} grid must have {expected} dims, got {self.tokens.ndim}")
-
-    @property
-    def num_tokens(self) -> int:
-        if self.layout == "flat":
-            return self.tokens.shape[0]
-        return self.tokens.shape[0] * self.tokens.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.tokens.shape[-1]
-
-    def flat(self) -> np.ndarray:
-        """Row-major flattened tokens [N, C]."""
-        if self.layout == "flat":
-            return self.tokens
-        h, w, c = self.tokens.shape
-        return self.tokens.reshape(h * w, c)
-
-
-def resize_image(img: SyntheticImage, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear square resize with the shared corner convention, no antialias."""
-    if img.height == out_h and img.width == out_w:
-        return img.data
-    return np.clip(sampling.resize(img.data, out_h, out_w), 0.0, 1.0)
+def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of an [H, W, 3] image with the shared corner convention, no antialias."""
+    if img.shape[:2] == (out_h, out_w):
+        return img
+    return np.clip(sampling.resize(img, out_h, out_w), 0.0, 1.0)
 
 
 class LowResEncoder:
@@ -166,14 +113,14 @@ class LowResEncoder:
         self.weight = gen.normal(0.0, 0.8, size=(3, cfg.channels_low))
         self.bias = gen.normal(0.0, 0.2, size=(cfg.channels_low,))
 
-    def encode(self, img: SyntheticImage) -> FeatureGrid:
+    def encode(self, img: np.ndarray) -> np.ndarray:
+        """[H, W, 3] image -> [N, C] flat tokens in row-major order."""
         cfg = self.cfg
         pixels = resize_image(img, cfg.low_res, cfg.low_res)
         side = cfg.tokens_per_side
         s = cfg.stride_low
         patches = pixels.reshape(side, s, side, s, 3).mean(axis=(1, 3))
-        tokens = patches.reshape(side * side, 3) @ self.weight + self.bias
-        return FeatureGrid(tokens=tokens, stride=cfg.stride_low, layout="flat")
+        return patches.reshape(side * side, 3) @ self.weight + self.bias
 
 
 class HighResEncoder:
@@ -193,19 +140,18 @@ class HighResEncoder:
             self.biases.append(gen.normal(0.0, 0.05, size=(out_ch,)))
             in_ch = out_ch
 
-    def encode(self, img: SyntheticImage) -> list[FeatureGrid]:
+    def encode(self, img: np.ndarray) -> list[np.ndarray]:
+        """[H, W, 3] image -> the four [h, w, C] stages, strides 4, 8, 16, 32 in order."""
         cfg = self.cfg
         x = resize_image(img, cfg.high_res, cfg.high_res)
-        grids: list[FeatureGrid] = []
-        stride = 1
+        stages: list[np.ndarray] = []
         for i, k in enumerate(self.STAGE_FACTORS):
             h, w, c = x.shape
             hh, ww = h // k, w // k
             patches = x.reshape(hh, k, ww, k, c).transpose(0, 2, 1, 3, 4).reshape(hh, ww, k * k * c)
             x = np.tanh(patches @ self.weights[i] + self.biases[i])
-            stride *= k
-            grids.append(FeatureGrid(tokens=x, stride=stride, layout="spatial"))
-        return grids
+            stages.append(x)
+        return stages
 
 
 class TextEmbedder:
@@ -278,18 +224,25 @@ class SceneDescriptor:
         for n, o in enumerate(obj.get("objects", [])):
             if not isinstance(o, dict):
                 raise ValueError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
-            coords = [float(o[k]) for k in ("x0", "y0", "x1", "y1")]
-            for key, value in zip(("x0", "y0", "x1", "y1"), coords):
-                if not math.isfinite(value):
-                    raise ValueError(f"scene objects[{n}].{key} must be finite, got {value}")
+            coords = [_finite_number(o.get(k), f"objects[{n}].{k}") for k in ("x0", "y0", "x1", "y1")]
             objects.append(ObjectSpec(*coords, str(o["label"])))
         extent = {}
         for key in ("height", "width"):
-            value = float(obj.get(key, 256))
+            value = _finite_number(obj.get(key, 256), key)
             if not (0 < value <= MAX_SCENE_SIDE and value == int(value)):
                 raise ValueError(f"scene {key} must be an integer in [1, {MAX_SCENE_SIDE}], got {value}")
             extent[key] = int(value)
-        return cls(seed=int(obj["seed"]), objects=tuple(objects), **extent)
+        seed = obj.get("seed")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"scene seed must be an integer, got {seed!r}")
+        return cls(seed=int(seed), objects=tuple(objects), **extent)
+
+
+def _finite_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite number, else a ValueError naming the scene field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"scene {name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _boxes_overlap(a: ObjectSpec, b: ObjectSpec) -> float:
@@ -303,18 +256,12 @@ def _boxes_overlap(a: ObjectSpec, b: ObjectSpec) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def generate_scene(
-    seed: int,
-    n_objects: int = 3,
-    height: int = 256,
-    width: int = 256,
-    label_pool: tuple[str, ...] = LABEL_POOL,
-) -> SceneDescriptor:
+def generate_scene(seed: int, n_objects: int = 3, height: int = 256, width: int = 256) -> SceneDescriptor:
     """Seeded scene with well-separated rectangles and distinct labels."""
-    if n_objects > len(label_pool):
-        raise ValueError(f"at most {len(label_pool)} objects per scene")
+    if n_objects > len(LABEL_POOL):
+        raise ValueError(f"at most {len(LABEL_POOL)} objects per scene")
     gen = rng.stream(seed, "scene.layout")
-    labels = list(gen.choice(len(label_pool), size=n_objects, replace=False))
+    labels = list(gen.choice(len(LABEL_POOL), size=n_objects, replace=False))
     objects: list[ObjectSpec] = []
     for li in labels:
         for _ in range(200):
@@ -322,7 +269,7 @@ def generate_scene(
             h = gen.uniform(0.12, 0.38) * height
             x0 = gen.uniform(0.0, width - w)
             y0 = gen.uniform(0.0, height - h)
-            candidate = ObjectSpec(x0, y0, x0 + w, y0 + h, label_pool[li])
+            candidate = ObjectSpec(x0, y0, x0 + w, y0 + h, LABEL_POOL[li])
             if all(_boxes_overlap(candidate, o) <= 0.15 for o in objects):
                 objects.append(candidate)
                 break
@@ -337,8 +284,8 @@ def _label_color(label: str) -> np.ndarray:
     return 0.25 + 0.7 * np.array([digest[0], digest[1], digest[2]]) / 255.0
 
 
-def render_scene(desc: SceneDescriptor) -> SyntheticImage:
-    """Render colored rectangles over low-amplitude noise, values in [0, 1]."""
+def render_scene(desc: SceneDescriptor) -> np.ndarray:
+    """Render colored rectangles over low-amplitude noise: [H, W, 3], values in [0, 1]."""
     gen = rng.stream(desc.seed, "scene.render")
     canvas = 0.15 * gen.random((desc.height, desc.width, 3))
     for obj in desc.objects:
@@ -346,7 +293,7 @@ def render_scene(desc: SceneDescriptor) -> SyntheticImage:
         x1, y1 = int(round(obj.x1)), int(round(obj.y1))
         color = _label_color(obj.label)
         canvas[y0:y1, x0:x1] = color + 0.05 * gen.random((max(0, y1 - y0), max(0, x1 - x0), 3))
-    return SyntheticImage(desc.height, desc.width, np.clip(canvas, 0.0, 1.0))
+    return np.clip(canvas, 0.0, 1.0)
 
 
 def save_descriptor(desc: SceneDescriptor, path: str) -> None:

@@ -71,13 +71,12 @@ def encode_frame(comp: Components, scene: SceneDescriptor, boxes_file: str | Non
     """Run the frozen side for one frame: features, pooled boxes, detections, pyramid."""
     img = render_scene(scene)
     dets = scene_boxes(comp.cfg, scene, boxes_file)
-    e_low = comp.low_encoder.encode(img).flat()
+    e_low = comp.low_encoder.encode(img)
     stages = comp.high_encoder.encode(img)
-    e_high = stages[-1].flat()
-    pyramid = build_pyramid(stages, expected_strides=comp.cfg.encoder.stage_strides,
-                            image_height=scene.height, image_width=scene.width)
-    objects = extract_object_features(pyramid, dets, comp.cfg.roi)
-    return e_low, e_high, objects.features.data, dets, pyramid
+    e_high = stages[-1].reshape(-1, stages[-1].shape[2])
+    pyramid = build_pyramid(stages, image_height=scene.height, image_width=scene.width)
+    e_objects = extract_object_features(pyramid, dets, comp.cfg.roi)
+    return e_low, e_high, e_objects, dets, pyramid
 
 
 def prepare_sample(comp: Components, scene: SceneDescriptor, text_ids: list[int],
@@ -156,7 +155,7 @@ def run_video(cfg: RunConfig, frames: list[SceneDescriptor], text_ids: list[int]
     t0 = time.perf_counter()
     text_emb = Tensor(comp.text_embedder.embed(text_ids))
     seq = assemble_video(streams, text_emb, merge=cfg.assembly.merge,
-                         merge_params=comp.model.merge)
+                         merge_params=comp.model.merge, text_first=cfg.assembly.text_first)
     timings["assemble"] = time.perf_counter() - t0
     return _finish_report(cfg, comp, seq, det_sets, text_ids, answer_ids, decode,
                           timings, input_id=f"video-{len(picks)}f", mode="video")

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import sampling
 from .boxes import Detection, DetectionSet
-from .encoders import FeatureGrid
 from .tensor import Tensor, bilinear_sample
-
-
-class PyramidError(ValueError):
-    """The stage list cannot form a valid pyramid."""
 
 
 class DegenerateBoxError(ValueError):
@@ -42,10 +37,9 @@ class DegenerateBoxError(ValueError):
 class MultiScalePyramid:
     """All stages upsampled to stride 4 and concatenated along channels.
 
-    The stages are kept as given, in stride order; :meth:`window` upsamples
-    only the requested rows and columns of the stride-4 grid, and ``grid``
-    is the full window, built on first use. A dense ``grid`` passed in is a
-    single stage already at stride 4.
+    The stages are kept as given, in stride order, the first at stride 4;
+    :meth:`window` upsamples only the requested rows and columns of the
+    stride-4 grid, and ``grid`` is the full window, built on first use.
 
     ``image_height``/``image_width`` name the coordinate frame boxes live in
     (the original image); when that frame equals the encoder input, mapping a
@@ -54,12 +48,9 @@ class MultiScalePyramid:
 
     stride = 4
 
-    def __init__(self, *, image_height: int, image_width: int, stages: list[np.ndarray] | None = None,
-                 extent: tuple[int, int] | None = None, grid: np.ndarray | None = None):
-        if grid is not None:
-            stages, extent = [grid], grid.shape[:2]
+    def __init__(self, stages: list[np.ndarray], image_height: int, image_width: int):
         self.stages = stages
-        self.height, self.width = extent
+        self.height, self.width = stages[0].shape[:2]
         self.image_height = image_height
         self.image_width = image_width
 
@@ -85,43 +76,17 @@ class MultiScalePyramid:
         return self.window(np.arange(self.height), np.arange(self.width))
 
 
-def build_pyramid(
-    stages: list[FeatureGrid],
-    expected_strides: tuple[int, ...] | None = None,
-    image_height: int | None = None,
-    image_width: int | None = None,
-) -> MultiScalePyramid:
-    """Validate the stages and order them by stride for stride-4 reads.
+def build_pyramid(stages: list[np.ndarray], image_height: int | None = None,
+                  image_width: int | None = None) -> MultiScalePyramid:
+    """A pyramid over [h, w, C] stages in stride order, the first at stride 4.
 
     Pass the original image extent when it differs from the encoder input
-    (boxes are expressed in original pixels and must land on this grid).
+    (boxes are expressed in original pixels and must land on this grid);
+    it defaults to the stride-4 stage's extent times 4.
     """
-    if not stages:
-        raise PyramidError("no stages given")
-    if expected_strides is not None:
-        have = sorted(g.stride for g in stages)
-        want = sorted(expected_strides)
-        if have != want:
-            missing = sorted(set(want) - set(have))
-            raise PyramidError(f"missing stages at strides {missing}: have {have}, expect {want}")
-    ordered = sorted(stages, key=lambda g: g.stride)
-    for g in ordered:
-        if g.layout != "spatial":
-            raise PyramidError(f"stage at stride {g.stride} must be spatial, got {g.layout}")
-    extents = {g.stride * g.tokens.shape[0] for g in ordered}
-    extents |= {g.stride * g.tokens.shape[1] for g in ordered}
-    if len(extents) != 1:
-        raise PyramidError(f"stages disagree on source image extent: {sorted(extents)}")
-    image_extent = extents.pop()
-    if image_extent % 4 != 0:
-        raise PyramidError(f"image extent {image_extent} is not divisible by the pyramid stride 4")
-    out_side = image_extent // 4
-    return MultiScalePyramid(
-        image_height=image_height if image_height is not None else image_extent,
-        image_width=image_width if image_width is not None else image_extent,
-        stages=[g.tokens for g in ordered],
-        extent=(out_side, out_side),
-    )
+    h, w = stages[0].shape[:2]
+    return MultiScalePyramid(stages, image_height if image_height is not None else 4 * h,
+                             image_width if image_width is not None else 4 * w)
 
 
 @dataclass(frozen=True)
@@ -171,23 +136,12 @@ def roi_align(
     return per_bin.mean(axis=2)
 
 
-@dataclass
-class ObjectFeatureSet:
-    """One pooled row per surviving box, rows in detection order."""
-
-    features: Tensor  # [k, C]
-
-    @property
-    def k(self) -> int:
-        return self.features.shape[0]
-
-
 def extract_object_features(
     pyramid: MultiScalePyramid,
     dets: DetectionSet,
     cfg: RoiConfig = RoiConfig(),
-) -> ObjectFeatureSet:
-    """RoI-align each box then average-pool to a single vector per box.
+) -> np.ndarray:
+    """RoI-align each box then average-pool: a [k, C] array, rows in detection order.
 
     All boxes are read at once from one pyramid window spanning the rows and
     columns their samples touch, with the same arithmetic as
@@ -195,7 +149,7 @@ def extract_object_features(
     """
     c = pyramid.channels
     if len(dets) == 0:
-        return ObjectFeatureSet(features=Tensor(np.zeros((0, c))))
+        return np.zeros((0, c))
     points = np.concatenate([_box_points(pyramid, det, cfg, i) for i, det in enumerate(dets.detections)])
     i0, i1, j0, j1, wts = sampling.corner_weights(pyramid.height, pyramid.width, points)
     rows, cols = np.union1d(i0, i1), np.union1d(j0, j1)
@@ -205,4 +159,4 @@ def extract_object_features(
     b_h, b_w = cfg.bins
     s = cfg.samples_per_bin
     per_bin = np.mean(sampled.reshape(len(dets), b_h, b_w, s * s, c), axis=3)
-    return ObjectFeatureSet(features=Tensor(np.mean(per_bin, axis=(1, 2))))
+    return np.mean(per_bin, axis=(1, 2))

@@ -35,7 +35,7 @@ from .datagen import generate_dataset, small_training_config
 from .encoders import EncoderConfig, generate_scene
 from .fusion import fuse
 from .pipeline import build_components, encode_frame, prepare_sample, run_image
-from .roi import MultiScalePyramid, RoiConfig, roi_align
+from .roi import RoiConfig, build_pyramid, roi_align
 from .tensor import Tensor, affine, bilinear_sample, causal_attention, concat, conv1d, gelu, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
@@ -445,7 +445,7 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
         h, w = int(gen.integers(4, 14)), int(gen.integers(4, 14))
         c = int(gen.integers(1, 6))
         grid = gen.normal(0.0, 1.0, size=(h, w, c))
-        pyramid = MultiScalePyramid(grid=grid, image_height=h * 4, image_width=w * 4)
+        pyramid = build_pyramid([grid])
         bx0 = float(gen.uniform(0, w * 4 * 0.6))
         by0 = float(gen.uniform(0, h * 4 * 0.6))
         bx1 = float(min(bx0 + gen.uniform(1.0, w * 4 * 0.5), w * 4))
@@ -460,7 +460,7 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
     # constant-map property
     gen = rng.stream(seed, "verify.roi.const")
     cval = float(gen.normal())
-    pyramid = MultiScalePyramid(grid=np.full((8, 8, 3), cval), image_height=32, image_width=32)
+    pyramid = build_pyramid([np.full((8, 8, 3), cval)])
     det = Detection(3.0, 5.0, 27.0, 29.0, 0.9, "obj")
     got = roi_align(pyramid, det, RoiConfig(bins=(7, 7), samples_per_bin=2)).data
     dev = float(np.max(np.abs(got - cval)))

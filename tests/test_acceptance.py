@@ -26,7 +26,7 @@ from visionflow.datagen import load_dataset, small_training_config
 from visionflow.encoders import EncoderConfig, generate_scene
 from visionflow.fusion import FusionStrategy
 from visionflow.pipeline import build_components, prepare_sample
-from visionflow.roi import MultiScalePyramid, RoiConfig, roi_align
+from visionflow.roi import RoiConfig, build_pyramid, roi_align
 from visionflow.tensor import Tensor
 from visionflow.training import TrainConfig, mean_dataset_nll, train_two_stage
 from visionflow.verify import (
@@ -82,7 +82,7 @@ def test_criterion_3_roi_oracle_equivalence():
         gen = rng.stream(pair, "acceptance.roi")
         h, w = int(gen.integers(4, 14)), int(gen.integers(4, 14))
         grid = gen.normal(size=(h, w, int(gen.integers(1, 6))))
-        pyr = MultiScalePyramid(grid=grid, image_height=h * 4, image_width=w * 4)
+        pyr = build_pyramid([grid])
         x0 = float(gen.uniform(0, w * 2.4)); y0 = float(gen.uniform(0, h * 2.4))
         x1 = float(min(x0 + gen.uniform(1, w * 2), w * 4))
         y1 = float(min(y0 + gen.uniform(1, h * 2), h * 4))
@@ -92,7 +92,7 @@ def test_criterion_3_roi_oracle_equivalence():
                         RoiConfig(bins=bins, samples_per_bin=s)).data
         want = naive_roi_align(grid, (x0 / 4, y0 / 4, x1 / 4, y1 / 4), bins, s)
         worst = max(worst, float(np.max(np.abs(got - want))))
-    pyr = MultiScalePyramid(grid=np.full((9, 9, 4), -0.75), image_height=36, image_width=36)
+    pyr = build_pyramid([np.full((9, 9, 4), -0.75)])
     const = roi_align(pyr, Detection(2.0, 3.0, 33.0, 34.0, 0.9, "o")).data
     const_dev = float(np.max(np.abs(const + 0.75)))
     ok = worst < 1e-9 and const_dev < 1e-9

@@ -1,6 +1,7 @@
 """Token assembly and the toy causal scorer: accounting, segment order,
 merge variants, video concatenation, causality, and the NLL objective."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -146,6 +147,31 @@ def test_video_frame_order_matters():
     fwd = assemble_video([a, b], text).embeddings.data.tobytes()
     rev = assemble_video([b, a], text).embeddings.data.tobytes()
     assert fwd != rev
+
+
+def test_video_text_first_leads_with_the_text_segment():
+    gen = rng.stream(9, "test.assembly.video_text_first")
+    frames = [(Tensor(gen.normal(size=(4, D))), Tensor(gen.normal(size=(2, D)))) for _ in range(2)]
+    text = Tensor(gen.normal(size=(3, D)))
+    last = assemble_video(frames, text)
+    first = assemble_video(frames, text, text_first=True)
+    assert first.segments[:3] == (SEGMENT_TEXT,) * 3 and first.frames[:4] == (-1, -1, -1, 0)
+    assert first.segments[3:] == last.segments[:-3]
+    np.testing.assert_array_equal(first.embeddings.data[:3], text.data)
+    np.testing.assert_array_equal(first.embeddings.data[3:], last.embeddings.data[:-3])
+    single = assemble_video(frames[:1], text, text_first=True)
+    assert single.segments == assemble(*frames[0], text, text_first=True).segments
+
+
+def test_run_video_honours_text_first():
+    frames = [SceneDescriptor.from_dict(f) for f in generate_video_descriptor(1, n_frames=2)["frames"]]
+    cfg = RunConfig(seed=1)
+    flipped = dataclasses.replace(cfg, assembly=dataclasses.replace(cfg.assembly, text_first=True))
+    comp = build_components(cfg)
+    last = run_video(cfg, frames, [1, 2, 3], answer_ids=[4, 5], components=comp)
+    first = run_video(flipped, frames, [1, 2, 3], answer_ids=[4, 5], components=comp)
+    assert first["segments"] == last["segments"]
+    assert first["nll"] != last["nll"]
 
 
 def test_video_requires_frames():

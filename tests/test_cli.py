@@ -353,6 +353,23 @@ def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, 
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.update(seed=None), "seed"),
+    (lambda d: d.update(seed=2.5), "seed"),
+    (lambda d: d.update(height=None), "height"),
+    (lambda d: d.update(width="wide"), "width"),
+    (lambda d: d["objects"][0].update(x0=None), "objects[0].x0"),
+    (lambda d: d["objects"][1].pop("y1"), "objects[1].y1"),
+], ids=["seed_null", "seed_fractional", "height_null", "width_string", "x0_null", "y1_missing"])
+def test_mistyped_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, edit, field):
+    scene = generate_scene(9, n_objects=2).to_dict()
+    edit(scene)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, field", [
     ([{"seed": 1}], "a scene must be a JSON object, got list"),
     ({"frames": 5}, "'frames' must be a list"),

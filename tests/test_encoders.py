@@ -11,7 +11,6 @@ from visionflow.encoders import (
     HighResEncoder,
     LowResEncoder,
     SceneDescriptor,
-    SyntheticImage,
     TextEmbedder,
     generate_scene,
     render_scene,
@@ -24,7 +23,7 @@ def small_cfg(seed=0):
 
 
 def zero_image(h=64, w=64):
-    return SyntheticImage(h, w, np.zeros((h, w, 3)))
+    return np.zeros((h, w, 3))
 
 
 def test_default_config_yields_576_tokens():
@@ -35,45 +34,41 @@ def test_default_config_yields_576_tokens():
 
 def test_encode_low_token_count_and_shape():
     cfg = EncoderConfig()
-    grid = LowResEncoder(cfg).encode(zero_image(100, 100))
-    assert grid.tokens.shape == (576, cfg.channels_low)
-    assert grid.stride == 14
-    assert grid.layout == "flat"
+    tokens = LowResEncoder(cfg).encode(zero_image(100, 100))
+    assert tokens.shape == (576, cfg.channels_low)
 
 
 def test_encode_low_zero_image_zero_bias_gives_zeros():
     enc = LowResEncoder(small_cfg())
     enc.bias[:] = 0.0
-    grid = enc.encode(zero_image())
-    np.testing.assert_array_equal(grid.tokens, 0.0)
+    np.testing.assert_array_equal(enc.encode(zero_image()), 0.0)
 
 
 def test_encoders_are_pure_and_seeded():
     cfg = small_cfg(seed=3)
     scene = generate_scene(11, n_objects=2)
     img = render_scene(scene)
-    a = LowResEncoder(cfg).encode(img).tokens
-    b = LowResEncoder(cfg).encode(img).tokens
+    a = LowResEncoder(cfg).encode(img)
+    b = LowResEncoder(cfg).encode(img)
     assert a.tobytes() == b.tobytes()
-    other = LowResEncoder(small_cfg(seed=4)).encode(img).tokens
+    other = LowResEncoder(small_cfg(seed=4)).encode(img)
     assert a.tobytes() != other.tobytes()
 
 
 def test_encode_high_stage_strides_and_extents():
     cfg = small_cfg()
     stages = HighResEncoder(cfg).encode(zero_image())
-    assert [g.stride for g in stages] == [4, 8, 16, 32]
-    for g in stages:
-        assert g.tokens.shape[0] == cfg.high_res // g.stride
-        assert g.tokens.shape[1] == cfg.high_res // g.stride
-    assert stages[-1].num_tokens == cfg.num_tokens  # equality with the low branch
+    assert len(stages) == 4
+    for stage, stride in zip(stages, (4, 8, 16, 32)):
+        assert stage.shape[:2] == (cfg.high_res // stride, cfg.high_res // stride)
+    assert stages[-1].shape[0] * stages[-1].shape[1] == cfg.num_tokens  # equality with the low branch
 
 
 def test_encode_high_default_config_final_stage_24x24():
     cfg = EncoderConfig()  # 768 input, stride 32
     stages = HighResEncoder(cfg).encode(zero_image(32, 32))
-    assert stages[-1].tokens.shape[:2] == (24, 24)
-    assert stages[-1].num_tokens == 576
+    assert stages[-1].shape[:2] == (24, 24)
+    assert stages[-1].shape[0] * stages[-1].shape[1] == 576
 
 
 def test_encode_high_zero_image_zero_biases():
@@ -81,14 +76,14 @@ def test_encode_high_zero_image_zero_biases():
     enc = HighResEncoder(cfg)
     for b in enc.biases:
         b[:] = 0.0
-    for g in enc.encode(zero_image()):
-        np.testing.assert_array_equal(g.tokens, 0.0)
+    for stage in enc.encode(zero_image()):
+        np.testing.assert_array_equal(stage, 0.0)
 
 
 def test_high_stage_channels_follow_config():
     cfg = small_cfg()
     stages = HighResEncoder(cfg).encode(zero_image())
-    assert tuple(g.channels for g in stages) == cfg.stage_channels
+    assert tuple(stage.shape[2] for stage in stages) == cfg.stage_channels
 
 
 def test_adjuster_snaps_resolutions():
@@ -156,6 +151,6 @@ def test_scene_labels_distinct_and_render_in_range():
     labels = [o.label for o in scene.objects]
     assert len(set(labels)) == len(labels)
     img = render_scene(scene)
-    assert img.data.min() >= 0.0 and img.data.max() <= 1.0
-    again = render_scene(scene)
-    assert img.data.tobytes() == again.data.tobytes()
+    assert img.shape == (scene.height, scene.width, 3)
+    assert img.min() >= 0.0 and img.max() <= 1.0
+    assert img.tobytes() == render_scene(scene).tobytes()

@@ -6,11 +6,8 @@ import pytest
 
 from visionflow import rng
 from visionflow.boxes import Detection, DetectionSet
-from visionflow.encoders import FeatureGrid
 from visionflow.roi import (
     DegenerateBoxError,
-    MultiScalePyramid,
-    PyramidError,
     RoiConfig,
     build_pyramid,
     extract_object_features,
@@ -20,28 +17,20 @@ from visionflow.tensor import Tensor, concat
 from visionflow.verify import fd_check, naive_bilinear, naive_roi_align
 
 
-def spatial(tokens, stride):
-    return FeatureGrid(tokens=tokens, stride=stride, layout="spatial")
-
-
 def random_stages(gen, extent=64, widths=(2, 3, 4, 5)):
-    return [
-        spatial(gen.normal(size=(extent // s, extent // s, c)), s)
-        for s, c in zip((4, 8, 16, 32), widths)
-    ]
+    return [gen.normal(size=(extent // s, extent // s, c)) for s, c in zip((4, 8, 16, 32), widths)]
 
 
 def test_single_stage_pyramid_is_identity():
     gen = rng.stream(0, "test.pyr.single")
-    stage = spatial(gen.normal(size=(8, 8, 3)), 4)
+    stage = gen.normal(size=(8, 8, 3))
     pyr = build_pyramid([stage])
-    np.testing.assert_array_equal(pyr.grid, stage.tokens)
+    np.testing.assert_array_equal(pyr.grid, stage)
     assert (pyr.image_height, pyr.image_width) == (32, 32)
 
 
 def test_constant_stages_give_constant_pyramid():
-    stages = [spatial(np.full((32 // s, 32 // s, c), 1.5), s)
-              for s, c in zip((4, 8, 16, 32), (2, 3, 4, 5))]
+    stages = [np.full((32 // s, 32 // s, c), 1.5) for s, c in zip((4, 8, 16, 32), (2, 3, 4, 5))]
     pyr = build_pyramid(stages)
     assert pyr.grid.shape == (8, 8, 14)  # channels sum across stages
     np.testing.assert_allclose(pyr.grid, 1.5)
@@ -53,35 +42,20 @@ def test_pyramid_matches_naive_bilinear_oracle():
     pyr = build_pyramid(stages)
     out_side = 16
     offset = 0
-    for g in sorted(stages, key=lambda s: s.stride):
-        h = g.tokens.shape[0]
+    for stage in stages:
+        h, c = stage.shape[0], stage.shape[2]
         for i in range(out_side):
             for j in range(out_side):
                 y = (i + 0.5) * h / out_side
                 x = (j + 0.5) * h / out_side
-                want = naive_bilinear(g.tokens, y, x)
-                got = pyr.grid[i, j, offset: offset + g.channels]
+                want = naive_bilinear(stage, y, x)
+                got = pyr.grid[i, j, offset: offset + c]
                 np.testing.assert_allclose(got, want, atol=1e-12)
-        offset += g.channels
-
-
-def test_pyramid_missing_stage_errors():
-    gen = rng.stream(2, "test.pyr.missing")
-    stages = random_stages(gen)[:3]
-    with pytest.raises(PyramidError, match=r"missing stages at strides \[32\]"):
-        build_pyramid(stages, expected_strides=(4, 8, 16, 32))
-
-
-def test_pyramid_inconsistent_extents_error():
-    a = spatial(np.zeros((8, 8, 2)), 4)
-    b = spatial(np.zeros((8, 8, 2)), 8)  # implies a 64-pixel image, not 32
-    with pytest.raises(PyramidError, match="extent"):
-        build_pyramid([a, b])
+        offset += c
 
 
 def constant_pyramid(value, side=8, channels=3):
-    return MultiScalePyramid(grid=np.full((side, side, channels), float(value)),
-                             image_height=side * 4, image_width=side * 4)
+    return build_pyramid([np.full((side, side, channels), float(value))])
 
 
 def test_roi_align_constant_map():
@@ -95,7 +69,7 @@ def test_roi_align_constant_map():
 def test_roi_align_single_cell_center_sample():
     gen = rng.stream(3, "test.roi.cell")
     grid = gen.normal(size=(6, 6, 2))
-    pyr = MultiScalePyramid(grid=grid, image_height=24, image_width=24)
+    pyr = build_pyramid([grid])
     # box covering exactly cell (2, 4): pixels [16, 20) x [8, 12)
     det = Detection(16.0, 8.0, 20.0, 12.0, 0.9, "x")
     out = roi_align(pyr, det, RoiConfig(bins=(1, 1), samples_per_bin=1))
@@ -107,7 +81,7 @@ def test_roi_align_matches_naive_sampler(pair):
     gen = rng.stream(pair, "test.roi.oracle")
     h, w = int(gen.integers(4, 12)), int(gen.integers(4, 12))
     grid = gen.normal(size=(h, w, int(gen.integers(1, 5))))
-    pyr = MultiScalePyramid(grid=grid, image_height=h * 4, image_width=w * 4)
+    pyr = build_pyramid([grid])
     x0 = float(gen.uniform(0, w * 2)); y0 = float(gen.uniform(0, h * 2))
     x1 = float(min(x0 + gen.uniform(1, w * 2), w * 4))
     y1 = float(min(y0 + gen.uniform(1, h * 2), h * 4))
@@ -135,22 +109,21 @@ def test_roi_align_degenerate_box_error():
 def test_extract_empty_detection_set():
     pyr = constant_pyramid(1.0)
     out = extract_object_features(pyr, DetectionSet("img", []))
-    assert out.features.shape == (0, 3)
-    assert out.k == 0
+    assert out.shape == (0, 3)
 
 
 def test_extract_full_image_box_on_constant_pyramid():
     pyr = constant_pyramid(3.5)
     dets = DetectionSet("img", [Detection(0.0, 0.0, 32.0, 32.0, 0.9, "x")])
     out = extract_object_features(pyr, dets)
-    assert out.features.shape == (1, 3)
-    np.testing.assert_allclose(out.features.data, 3.5, atol=1e-12)
+    assert out.shape == (1, 3)
+    np.testing.assert_allclose(out, 3.5, atol=1e-12)
 
 
 def test_extract_rows_match_per_box_oracle_and_order():
     gen = rng.stream(4, "test.roi.rows")
     grid = gen.normal(size=(10, 10, 4))
-    pyr = MultiScalePyramid(grid=grid, image_height=40, image_width=40)
+    pyr = build_pyramid([grid])
     dets = []
     for _ in range(5):
         x0 = float(gen.uniform(0, 20)); y0 = float(gen.uniform(0, 20))
@@ -162,7 +135,7 @@ def test_extract_rows_match_per_box_oracle_and_order():
         x0, y0 = max(det.x0, 0) / 4, max(det.y0, 0) / 4
         x1, y1 = min(det.x1, 40) / 4, min(det.y1, 40) / 4
         want = naive_roi_align(grid, (x0, y0, x1, y1), (3, 3), 2).mean(axis=(0, 1))
-        np.testing.assert_allclose(out.features.data[i], want, atol=1e-9)
+        np.testing.assert_allclose(out[i], want, atol=1e-9)
 
 
 def test_extract_degenerate_box_reports_index():
@@ -181,7 +154,7 @@ def test_translation_consistency_on_tiled_pyramid():
     gen = rng.stream(5, "test.roi.shift")
     tile = gen.normal(size=(4, 4, 2))
     grid = np.tile(tile, (4, 4, 1))  # 16x16 grid, period 4 cells
-    pyr = MultiScalePyramid(grid=grid, image_height=64, image_width=64)
+    pyr = build_pyramid([grid])
     cfg = RoiConfig(bins=(2, 2), samples_per_bin=2)
     base = Detection(5.0, 9.0, 21.0, 25.0, 0.9, "x")
     moved = Detection(base.x0 + 16.0, base.y0 + 16.0, base.x1 + 16.0, base.y1 + 16.0, 0.9, "x")
@@ -193,17 +166,17 @@ def test_translation_consistency_on_tiled_pyramid():
 def test_pooled_features_respect_convex_bounds():
     gen = rng.stream(6, "test.roi.bounds")
     grid = gen.normal(size=(9, 9, 3))
-    pyr = MultiScalePyramid(grid=grid, image_height=36, image_width=36)
+    pyr = build_pyramid([grid])
     dets = DetectionSet("img", [Detection(2.0, 3.0, 30.0, 33.0, 0.9, "x")])
     out = extract_object_features(pyr, dets)
-    assert np.all(out.features.data <= grid.max() + 1e-12)
-    assert np.all(out.features.data >= grid.min() - 1e-12)
+    assert np.all(out <= grid.max() + 1e-12)
+    assert np.all(out >= grid.min() - 1e-12)
 
 
 def test_gradients_flow_to_pyramid_values():
     gen = rng.stream(7, "test.roi.grad")
     leaf = Tensor(gen.normal(size=(6, 6, 2)), requires_grad=True)
-    pyr = MultiScalePyramid(grid=leaf.data, image_height=24, image_width=24)
+    pyr = build_pyramid([leaf.data])
     dets = DetectionSet("img", [
         Detection(1.0, 2.0, 15.0, 18.0, 0.9, "x"),
         Detection(6.0, 6.0, 22.0, 23.0, 0.8, "x"),
@@ -230,8 +203,7 @@ def scene_pyramid(seed):
     cfg = RunConfig(seed=seed)
     scene = generate_scene(seed, n_objects=3)
     stages = HighResEncoder(cfg.encoder).encode(render_scene(scene))
-    pyr = build_pyramid(stages, expected_strides=cfg.encoder.stage_strides,
-                        image_height=scene.height, image_width=scene.width)
+    pyr = build_pyramid(stages, image_height=scene.height, image_width=scene.width)
     return pyr, scene, cfg
 
 
@@ -245,9 +217,23 @@ def test_batched_features_equal_per_box_roi_align_on_a_scene():
     pyr, scene, cfg = scene_pyramid(11)
     dets = scene_boxes(cfg, scene)
     assert len(dets) == 3
-    got = extract_object_features(pyr, dets, cfg.roi).features.data
+    got = extract_object_features(pyr, dets, cfg.roi)
     assert "grid" not in vars(pyr)  # the inference read never builds the dense grid
     assert got.tobytes() == per_box_rows(pyr, dets, cfg.roi).tobytes()
+
+
+def test_non_square_scene_keeps_its_extent_and_batched_rows_equal_per_box():
+    from visionflow.config import RunConfig
+    from visionflow.encoders import generate_scene
+    from visionflow.pipeline import build_components, encode_frame
+
+    cfg = RunConfig(seed=3)
+    scene = generate_scene(3, n_objects=4, height=200, width=320)
+    _, _, batched, dets, pyr = encode_frame(build_components(cfg), scene)
+    assert (pyr.image_height, pyr.image_width) == (200, 320)
+    assert (pyr.height, pyr.width) == (cfg.encoder.high_res // 4, cfg.encoder.high_res // 4)
+    assert len(dets) == 4
+    assert batched.tobytes() == per_box_rows(pyr, dets, cfg.roi).tobytes()
 
 
 def test_batched_features_equal_per_box_roi_align_on_100_overlapping_boxes():
@@ -259,7 +245,7 @@ def test_batched_features_equal_per_box_roi_align_on_100_overlapping_boxes():
         w, h = (float(v) for v in gen.uniform(4.0, 120.0, size=2))
         dets.append(Detection(x0, y0, x0 + w, y0 + h, 0.5, "x"))
     dets = DetectionSet("img", dets)
-    got = extract_object_features(pyr, dets, cfg.roi).features.data
+    got = extract_object_features(pyr, dets, cfg.roi)
     assert "grid" not in vars(pyr)
     assert got.shape == (100, pyr.channels)
     assert got.tobytes() == per_box_rows(pyr, dets, cfg.roi).tobytes()
@@ -268,7 +254,7 @@ def test_batched_features_equal_per_box_roi_align_on_100_overlapping_boxes():
 def test_batched_read_of_no_boxes_keeps_channel_width():
     pyr, _, cfg = scene_pyramid(13)
     out = extract_object_features(pyr, DetectionSet("img", []), cfg.roi)
-    assert out.features.shape == (0, 104)
+    assert out.shape == (0, 104)
     assert "grid" not in vars(pyr)
 
 
