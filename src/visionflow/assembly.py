@@ -1,11 +1,12 @@
 """Projectors, multimodal token assembly, and the toy causal answer scorer.
 
-Canonical segment order within a frame block is fused -> object -> text;
-object tokens can instead be merged into the fused stream (or enhanced by
-it) via single-head cross-attention before assembly. No separator tokens
-are inserted between segments (segment tags carry that structure; a learned
-separator would be the alternative). The scorer is the
-smallest causal model in which ordering, causality and gradient-flow
+One path, ``assemble_video``, builds every sequence: one block per frame,
+fused -> object, then one text segment (leading instead with ``text_first``);
+an image is the one-frame case. Object tokens can instead be merged into the
+fused stream (or enhanced by it) via single-head cross-attention. No
+separator tokens are inserted between segments (segment and frame tags carry
+that structure; a learned separator would be the alternative). The scorer
+is the smallest causal model in which ordering, causality and gradient-flow
 properties are nondegenerate: a trainable embedding table, sinusoidal
 positions (one cached table per width), one causal self-attention block with
 a small GELU MLP, and a softmax over a toy vocabulary. The block is built from
@@ -27,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .fusion import CrossAttentionParams, cross_attention
-from .tensor import Tensor, affine, causal_attention, concat, gelu, one_hot
+from .tensor import Params, Tensor, affine, causal_attention, concat, gelu, one_hot
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +79,7 @@ class TokenSequence:
 
 
 @dataclass
-class ProjectorParams:
+class ProjectorParams(Params):
     """Two-layer MLP mapping a feature width onto the model dimension."""
 
     w1: Tensor
@@ -99,12 +100,9 @@ class ProjectorParams:
     def apply(self, x: Tensor) -> Tensor:
         return affine(gelu(affine(x, self.w1, self.b1)), self.w2, self.b2)
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
 
 @dataclass
-class ScorerParams:
+class ScorerParams(Params):
     """Embedding table, one causal attention block, and the vocab head."""
 
     embed: Tensor  # [vocab, D]
@@ -135,14 +133,6 @@ class ScorerParams:
             out_b=Tensor(np.zeros(v), requires_grad=True),
         )
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "embed": self.embed, "wq": self.wq, "wk": self.wk, "wv": self.wv,
-            "ffn_w1": self.ffn_w1, "ffn_b1": self.ffn_b1,
-            "ffn_w2": self.ffn_w2, "ffn_b2": self.ffn_b2,
-            "out_w": self.out_w, "out_b": self.out_b,
-        }
-
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     """Fixed sin/cos position table [length, dim]."""
@@ -169,10 +159,6 @@ def position_table(length: int, dim: int) -> np.ndarray:
     return table[:length]
 
 
-def _row_tags(tag: str, count: int, frame: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    return (tag,) * count, (frame,) * count
-
-
 def assemble(
     e_fused: Tensor,
     e_objects: Tensor,
@@ -180,45 +166,9 @@ def assemble(
     merge: MergeMethod = MergeMethod.CONCAT,
     merge_params: CrossAttentionParams | None = None,
     text_first: bool = False,
-    frame: int = 0,
 ) -> TokenSequence:
-    """Build one frame's token sequence from projected streams.
-
-    All inputs must already share the model width. ``concat`` appends object
-    tokens after the fused ones; ``f_to_b_xattn`` folds object information
-    into the fused tokens (objects are consumed, not emitted);
-    ``b_to_f_xattn`` enhances object tokens from the fused stream and keeps
-    both. With no objects the attention variants skip the merge entirely.
-    """
-    d = e_fused.shape[1]
-    for name, t in (("object", e_objects), ("text", e_text)):
-        if t.shape[1] != d and t.shape[0] > 0:
-            raise ValueError(f"{name} stream width {t.shape[1]} != model dim {d}")
-    k = e_objects.shape[0]
-    if k == 0 and merge is not MergeMethod.CONCAT:
-        log.info("no object tokens: %s merge degenerates to the fused stream", merge.value)
-    blocks: list[tuple[str, Tensor]] = []
-    if merge is MergeMethod.F_TO_B_XATTN:
-        enhanced = cross_attention(e_fused, e_objects, merge_params) if k > 0 else e_fused
-        blocks.append((SEGMENT_FUSED, enhanced))
-    elif merge is MergeMethod.B_TO_F_XATTN:
-        blocks.append((SEGMENT_FUSED, e_fused))
-        if k > 0:
-            blocks.append((SEGMENT_OBJECT, cross_attention(e_objects, e_fused, merge_params)))
-    else:
-        blocks.append((SEGMENT_FUSED, e_fused))
-        if k > 0:
-            blocks.append((SEGMENT_OBJECT, e_objects))
-    text_block = [(SEGMENT_TEXT, e_text)] if e_text.shape[0] > 0 else []
-    ordered = text_block + blocks if text_first else blocks + text_block
-    segments: list[str] = []
-    frames: list[int] = []
-    for tag, t in ordered:
-        seg, frm = _row_tags(tag, t.shape[0], frame)
-        segments.extend(seg)
-        frames.extend(frm)
-    emb = concat([t for _, t in ordered], axis=0)
-    return TokenSequence(embeddings=emb, segments=tuple(segments), frames=tuple(frames))
+    """One image's token sequence: the one-frame case of ``assemble_video``."""
+    return assemble_video([(e_fused, e_objects)], e_text, merge, merge_params, text_first)
 
 
 def assemble_video(
@@ -228,22 +178,44 @@ def assemble_video(
     merge_params: CrossAttentionParams | None = None,
     text_first: bool = False,
 ) -> TokenSequence:
-    """Concatenate per-frame [fused; object] blocks and one text segment,
-    trailing by default or leading with ``text_first``."""
+    """Build the token sequence of one or more frames from projected streams.
+
+    All inputs must already share the model width. Each frame gives one block
+    tagged with its index. ``concat`` appends object tokens after the fused
+    ones; ``f_to_b_xattn`` folds object information into the fused tokens
+    (objects are consumed, not emitted); ``b_to_f_xattn`` enhances object
+    tokens from the fused stream and keeps both. With no objects the
+    attention variants skip the merge entirely. The one text segment, tagged
+    frame -1, trails the frame blocks, or leads them with ``text_first``.
+    """
     if not frame_streams:
         raise ValueError("video assembly requires at least one frame")
-    parts: list[TokenSequence] = []
+    d = frame_streams[0][0].shape[1]
+    if e_text.shape[0] > 0 and e_text.shape[1] != d:
+        raise ValueError(f"text stream width {e_text.shape[1]} != model dim {d}")
+    blocks: list[tuple[str, Tensor, int]] = []
     for f, (e_fused, e_objects) in enumerate(frame_streams):
-        empty_text = Tensor(np.zeros((0, e_fused.shape[1])))
-        parts.append(assemble(e_fused, e_objects, empty_text, merge, merge_params, frame=f))
-    n_text = e_text.shape[0]
-    if n_text > 0:
-        text = TokenSequence(embeddings=e_text, segments=(SEGMENT_TEXT,) * n_text, frames=(-1,) * n_text)
-        parts = [text] + parts if text_first else parts + [text]
-    segments = tuple(tag for p in parts for tag in p.segments)
-    frames = tuple(f for p in parts for f in p.frames)
-    return TokenSequence(embeddings=concat([p.embeddings for p in parts], axis=0),
-                         segments=segments, frames=frames)
+        k = e_objects.shape[0]
+        if k > 0 and e_objects.shape[1] != e_fused.shape[1]:
+            raise ValueError(f"object stream width {e_objects.shape[1]} != model dim {e_fused.shape[1]}")
+        if k == 0 and merge is not MergeMethod.CONCAT:
+            log.info("no object tokens: %s merge degenerates to the fused stream", merge.value)
+        if merge is MergeMethod.F_TO_B_XATTN and k > 0:
+            e_fused = cross_attention(e_fused, e_objects, merge_params)
+        blocks.append((SEGMENT_FUSED, e_fused, f))
+        if merge is MergeMethod.B_TO_F_XATTN and k > 0:
+            e_objects = cross_attention(e_objects, e_fused, merge_params)
+        if merge is not MergeMethod.F_TO_B_XATTN and k > 0:
+            blocks.append((SEGMENT_OBJECT, e_objects, f))
+    text = [(SEGMENT_TEXT, e_text, -1)] if e_text.shape[0] > 0 else []
+    ordered = text + blocks if text_first else blocks + text
+    segments: list[str] = []
+    frames: list[int] = []
+    for tag, t, frame in ordered:
+        segments.extend((tag,) * t.shape[0])
+        frames.extend((frame,) * t.shape[0])
+    emb = concat([t for _, t, _ in ordered], axis=0)
+    return TokenSequence(embeddings=emb, segments=tuple(segments), frames=tuple(frames))
 
 
 def causal_hidden(full: Tensor, p: ScorerParams, first: int) -> Tensor:

@@ -12,11 +12,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 
-from .assembly import AssemblyConfig, MergeMethod
+from .assembly import AssemblyConfig
 from .boxes import BoxPipelineConfig
 from .encoders import EncoderConfig
-from .fusion import FusionConfig, FusionStrategy
+from .fusion import FusionConfig
 from .roi import RoiConfig
 from .training import TrainConfig
 
@@ -62,7 +63,7 @@ class RunConfig:
         def unpack(obj):
             if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
                 return {f.name: unpack(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-            if isinstance(obj, (FusionStrategy, MergeMethod)):
+            if isinstance(obj, Enum):
                 return obj.value
             if isinstance(obj, tuple):
                 return list(obj)
@@ -82,15 +83,9 @@ def _build_section(cls, data: dict, path: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {path!r}")
     kwargs = dict(data)
     for f in dataclasses.fields(cls):
-        if f.name in kwargs:
-            value = kwargs[f.name]
-            if f.name == "strategy":
-                value = FusionStrategy(value)
-            elif f.name == "merge":
-                value = MergeMethod(value)
-            elif f.name in ("stage_channels", "bins"):
-                value = tuple(value)
-            kwargs[f.name] = value
+        # enum and tuple fields arrive from JSON as their value and as a list
+        if f.name in kwargs and isinstance(f.default, (Enum, tuple)):
+            kwargs[f.name] = type(f.default)(kwargs[f.name])
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

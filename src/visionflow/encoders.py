@@ -50,6 +50,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.low_res <= 0 or self.high_res <= 0:
             raise EncoderConfigError("resolutions must be positive")
+        deepest = math.prod(HighResEncoder.STAGE_FACTORS)
+        if self.stride_high != deepest:
+            raise EncoderConfigError(f"stride_high {self.stride_high} != {deepest}, the deepest stage stride")
         if self.low_res % self.stride_low != 0:
             raise EncoderConfigError(
                 f"low_res {self.low_res} not divisible by stride {self.stride_low}"
@@ -72,8 +75,6 @@ class EncoderConfig:
             raise EncoderConfigError(
                 f"final stage width {self.stage_channels[-1]} must equal channels_high {self.channels_high}"
             )
-        if self.high_res % 32 != 0:
-            raise EncoderConfigError("high_res must be divisible by the deepest stage stride 32")
 
     @classmethod
     def adjusted(cls, low_res: int, high_res: int, **kwargs) -> EncoderConfig:
@@ -225,7 +226,10 @@ class SceneDescriptor:
             if not isinstance(o, dict):
                 raise ValueError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
             coords = [_finite_number(o.get(k), f"objects[{n}].{k}") for k in ("x0", "y0", "x1", "y1")]
-            objects.append(ObjectSpec(*coords, str(o["label"])))
+            label = o.get("label")
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"scene objects[{n}].label must be a non-empty string, got {label!r}")
+            objects.append(ObjectSpec(*coords, label))
         extent = {}
         for key in ("height", "width"):
             value = _finite_number(obj.get(key, 256), key)

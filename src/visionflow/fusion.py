@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .tensor import ShapeError, Tensor, affine, concat, conv1d
+from .tensor import Params, ShapeError, Tensor, affine, concat, conv1d
 
 
 class FusionStrategy(str, Enum):
@@ -41,7 +41,7 @@ class FusionConfig:
 
 
 @dataclass
-class CrossAttentionParams:
+class CrossAttentionParams(Params):
     """Single-head scaled dot-product attention with a residual query stream."""
 
     wq: Tensor
@@ -49,20 +49,17 @@ class CrossAttentionParams:
     wv: Tensor
 
     @classmethod
-    def build(cls, dim: int, gen: np.random.Generator, trainable: bool = True) -> CrossAttentionParams:
+    def build(cls, dim: int, gen: np.random.Generator) -> CrossAttentionParams:
         scale = 1.0 / math.sqrt(dim)
         return cls(
-            wq=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=trainable),
-            wk=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=trainable),
-            wv=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=trainable),
+            wq=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
+            wk=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
+            wv=Tensor(gen.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
         )
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv}
 
 
 @dataclass
-class FusionParams:
+class FusionParams(Params):
     """Trainable parameters for one fusion strategy (unused slots stay None)."""
 
     cfg: FusionConfig
@@ -95,17 +92,6 @@ class FusionParams:
         # channel_concat has no parameters of its own
         return params
 
-    def tensors(self) -> dict[str, Tensor]:
-        named = {
-            "conv_low_w": self.conv_low_w, "conv_low_b": self.conv_low_b,
-            "conv_high_w": self.conv_high_w, "conv_high_b": self.conv_high_b,
-            "gate_w": self.gate_w, "gate_b": self.gate_b, "align_w": self.align_w,
-        }
-        out = {name: t for name, t in named.items() if t is not None}
-        if self.xattn is not None:
-            out.update({f"xattn_{k}": v for k, v in self.xattn.tensors().items()})
-        return out
-
 
 def fused_width(cfg: FusionConfig) -> int:
     """Channel width of the fused stream; the downstream projector absorbs it."""
@@ -131,8 +117,8 @@ def conv_gate_fuse(e_low: Tensor, e_high: Tensor, p: FusionParams) -> Tensor:
     gate_in = concat([low_al, high_al], axis=1)
     gate = affine(gate_in, p.gate_w, p.gate_b).sigmoid()
     if not p.cfg.gate_per_channel:
-        # expand the per-token scalar to the full channel width without broadcasting
-        gate = gate @ Tensor(np.ones((1, p.cfg.channels_low)))
+        # repeat the per-token scalar across the channels without broadcasting
+        gate = concat([gate] * p.cfg.channels_low, axis=1)
     return e_low + gate * (e_high @ p.align_w)
 
 

@@ -306,6 +306,21 @@ class Tensor:
         return Tensor._from_op(out_data, (self, other), backward, "matmul")
 
 
+class Params:
+    """Base of the parameter dataclasses: one walk names every tensor."""
+
+    def tensors(self) -> dict[str, Tensor]:
+        """Each ``Tensor`` field under its field name and each nested
+        ``Params`` field's tensors as ``<field>_<name>``; ``None`` is skipped."""
+        out: dict[str, Tensor] = {}
+        for field, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[field] = value
+            elif isinstance(value, Params):
+                out.update({f"{field}_{name}": t for name, t in value.tensors().items()})
+        return out
+
+
 def _coerce(value) -> Tensor:
     if isinstance(value, Tensor):
         return value

@@ -79,11 +79,9 @@ class ModelParams:
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         """(group/name, tensor) pairs in a fixed sorted order."""
-        out = []
-        for group in sorted(self.groups()):
-            for name, t in sorted(self.groups()[group].items()):
-                out.append((f"{group}/{name}", t))
-        return out
+        groups = self.groups()
+        return [(f"{group}/{name}", t) for group in sorted(groups)
+                for name, t in sorted(groups[group].items())]
 
     def group_bytes(self, group: str) -> bytes:
         """Concatenated little-endian value bytes, for freeze verification."""
@@ -119,26 +117,26 @@ class FreezeMask:
 class Adam:
     """Deterministic Adam over an ordered tensor list."""
 
-    def __init__(self, named: list[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named: list[tuple[str, Tensor]], lr: float):
         self.named = sorted(named, key=lambda kv: kv[0])
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.named}
         self.v = {name: np.zeros_like(t.data) for name, t in self.named}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for name, t in self.named:
             g = t.grad
             if g is None:
                 continue
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
+            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.EPS)
             t.data = t.data - self.lr * update
 
     def zero_grad(self) -> None:

@@ -139,6 +139,25 @@ def test_video_single_frame_degenerates_to_image_assembly():
     assert video.segments == image.segments
 
 
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("text_first", [False, True])
+@pytest.mark.parametrize("merge", list(MergeMethod))
+def test_video_single_frame_equals_image_assembly_for_every_merge(merge, text_first, k):
+    fused, objects, text = parts(12, k, 5, seed=6)
+    p = CrossAttentionParams.build(D, rng.stream(6, "test.assembly.single_frame_xattn"))
+    video = assemble_video([(fused, objects)], text, merge, p, text_first)
+    image = assemble(fused, objects, text, merge, p, text_first)
+    assert video.embeddings.data.tobytes() == image.embeddings.data.tobytes()
+    assert video.segments == image.segments
+
+
+def test_video_text_stream_of_the_wrong_width_rejected():
+    gen = rng.stream(6, "test.assembly.video_width")
+    frames = [(Tensor(gen.normal(size=(4, D))), Tensor(gen.normal(size=(2, D)))) for _ in range(2)]
+    with pytest.raises(ValueError, match="text stream width"):
+        assemble_video(frames, Tensor(gen.normal(size=(3, D + 1))))
+
+
 def test_video_frame_order_matters():
     gen = rng.stream(7, "test.assembly.order")
     a = (Tensor(gen.normal(size=(4, D))), Tensor(np.zeros((0, D))))

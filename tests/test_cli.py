@@ -360,7 +360,11 @@ def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, 
     (lambda d: d.update(width="wide"), "width"),
     (lambda d: d["objects"][0].update(x0=None), "objects[0].x0"),
     (lambda d: d["objects"][1].pop("y1"), "objects[1].y1"),
-], ids=["seed_null", "seed_fractional", "height_null", "width_string", "x0_null", "y1_missing"])
+    (lambda d: d["objects"][0].update(label=None), "objects[0].label"),
+    (lambda d: d["objects"][1].update(label=5), "objects[1].label"),
+    (lambda d: d["objects"][0].pop("label"), "objects[0].label"),
+], ids=["seed_null", "seed_fractional", "height_null", "width_string", "x0_null", "y1_missing",
+        "label_null", "label_number", "label_missing"])
 def test_mistyped_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, edit, field):
     scene = generate_scene(9, n_objects=2).to_dict()
     edit(scene)
@@ -368,6 +372,13 @@ def test_mistyped_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys,
     path.write_text(json.dumps(scene))
     assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
     assert field in capsys.readouterr().err
+
+
+def test_high_res_stride_other_than_the_deepest_stage_exits_data_naming_it(capsys):
+    # 1536 / 64 keeps 24 tokens per side, but the encoder's stages end at stride 32
+    argv = ["infer", "--set", "encoder.stride_high=64", "--set", "encoder.high_res=1536"]
+    assert main(argv) == EXIT_DATA
+    assert "stride_high" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload, field", [

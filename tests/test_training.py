@@ -204,3 +204,20 @@ def test_sample_loss_tape_has_at_most_40_op_nodes():
     loss = sample_loss(comp.model, sample, cfg.assembly.merge)
     ops = [node for node in loss.linearize() if not node.is_leaf()]
     assert len(ops) <= 40
+
+
+# checkpoint names, recorded when each parameter dataclass still listed its
+# own tensors by hand: they cover the fusion "xattn_" prefix and the merge group
+XATTN_MODEL_TENSOR_NAMES = [
+    "fusion/align_w", "fusion/xattn_wk", "fusion/xattn_wq", "fusion/xattn_wv",
+    "merge/wk", "merge/wq", "merge/wv",
+    "proj_B/b1", "proj_B/b2", "proj_B/w1", "proj_B/w2",
+    "proj_F/b1", "proj_F/b2", "proj_F/w1", "proj_F/w2",
+    "scorer/embed", "scorer/ffn_b1", "scorer/ffn_b2", "scorer/ffn_w1", "scorer/ffn_w2",
+    "scorer/out_b", "scorer/out_w", "scorer/wk", "scorer/wq", "scorer/wv",
+]
+
+
+def test_named_tensors_of_an_xattn_model_keep_their_checkpoint_names():
+    model = fresh_model(tiny_config(fusion_strategy="f_to_b_xattn", merge="b_to_f_xattn"))
+    assert sorted(name for name, _ in model.named_tensors()) == XATTN_MODEL_TENSOR_NAMES
