@@ -8,6 +8,7 @@ and a file-ingestion detector covers externally produced boxes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -33,6 +34,7 @@ COCO80_LABELS = (
 
 HISTOGRAM_BINS = ((0, 0, "0"), (1, 10, "1-10"), (11, 20, "11-20"),
                   (21, 30, "21-30"), (31, 50, "31-50"), (51, None, ">50"))
+_FLOAT_MAX = sys.float_info.max
 
 
 class PipelineError(RuntimeError):
@@ -77,10 +79,26 @@ class Detection:
         return {"box": [self.x0, self.y0, self.x1, self.y1], "score": self.score, "label": self.label}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> Detection:
-        b = obj["box"]
-        return cls(float(b[0]), float(b[1]), float(b[2]), float(b[3]),
-                   float(obj["score"]), str(obj["label"]))
+    def from_dict(cls, obj: dict, name: str) -> Detection:
+        """Validate one box-file entry; a ValueError names the bad field under ``name``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
+        box, score, label = obj.get("box"), obj.get("score"), obj.get("label")
+        if not isinstance(box, list) or len(box) != 4 or not all(map(_is_finite_number, box)):
+            raise ValueError(f"{name}.box must be a list of 4 finite numbers, got {box!r}")
+        if not _is_finite_number(score):
+            raise ValueError(f"{name}.score must be a finite number, got {score!r}")
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"{name}.label must be a non-empty string, got {label!r}")
+        try:
+            return cls(float(box[0]), float(box[1]), float(box[2]), float(box[3]), float(score), label)
+        except ValueError as exc:  # a degenerate box or a score outside [0, 1]
+            raise ValueError(f"{name}: {exc}") from None
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number within the float range; bools, NaN and infinities are not."""
+    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 @dataclass
@@ -96,10 +114,14 @@ class DetectionSet:
 
     @classmethod
     def from_dict(cls, obj: dict) -> DetectionSet:
-        return cls(
-            image_id=str(obj["image_id"]),
-            detections=[Detection.from_dict(d) for d in obj["detections"]],
-        )
+        if not isinstance(obj, dict):
+            raise ValueError(f"a box set must be a JSON object, got {type(obj).__name__}")
+        image_id, detections = obj.get("image_id"), obj.get("detections")
+        if not isinstance(image_id, str) or not image_id:
+            raise ValueError(f"box set image_id must be a non-empty string, got {image_id!r}")
+        if not isinstance(detections, list):
+            raise ValueError(f"box set detections must be a list, got {type(detections).__name__}")
+        return cls(image_id, [Detection.from_dict(d, f"detections[{n}]") for n, d in enumerate(detections)])
 
 
 def iou(a: Detection, b: Detection) -> float:

@@ -1,12 +1,13 @@
 """Multi-scale pyramid assembly and per-box pooled feature extraction.
 
-Stages from the high-resolution encoder are bilinearly upsampled to the
-stride-4 grid and channel-concatenated, on demand and only for the rows and
-columns a read touches. Each detection is then read out of that pyramid
-with quantization-free bilinear sampling (boxes mapped to grid units by
-dividing by the pyramid stride, clipped, never rejected unless they collapse
-to zero area) and average-pooled to one vector per box. The encoders are
-frozen; only ``roi_align`` on a tracked grid carries gradients to the pyramid.
+The pyramid is every high-resolution encoder stage bilinearly upsampled to the
+stride-4 grid and channel-concatenated. Each detection is read out of it with
+quantization-free bilinear sampling (boxes mapped to grid units by dividing by
+the pyramid stride, clipped, never rejected unless they collapse to zero area)
+and average-pooled to one vector per box. Reads and upsamples are linear and
+separable, so inference pools each box in closed form from the stages and
+never builds the grid; per-box ``roi_align`` over the grid is its oracle and,
+on a tracked grid, the only path that carries gradients to the pyramid.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ class DegenerateBoxError(ValueError):
 
 
 class MultiScalePyramid:
-    """All stages upsampled to stride 4 and concatenated along channels.
+    """Encoder stages, kept as given in stride order, the first at stride 4.
 
-    The stages are kept as given, in stride order, the first at stride 4;
-    :meth:`window` upsamples only the requested rows and columns of the
-    stride-4 grid, and ``grid`` is the full window, built on first use.
+    ``grid`` is the dense pyramid (all stages upsampled to stride 4 and
+    concatenated along channels), built on first use for the oracle and
+    gradient checks; :func:`extract_object_features` reads the stages.
 
     ``image_height``/``image_width`` name the coordinate frame boxes live in
     (the original image); when that frame equals the encoder input, mapping a
@@ -58,22 +59,11 @@ class MultiScalePyramid:
     def channels(self) -> int:
         return sum(s.shape[2] for s in self.stages)
 
-    def window(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The stride-4 cells at ``rows`` x ``cols``, equal to ``grid[np.ix_(rows, cols)]``."""
-        planes = []
-        for stage in self.stages:
-            h, w = stage.shape[0], stage.shape[1]
-            if (h, w) == (self.height, self.width):
-                planes.append(stage[np.ix_(rows, cols)])
-                continue
-            row_taps = [t[rows] for t in sampling._resize_taps(h, self.height)]
-            col_taps = [t[cols] for t in sampling._resize_taps(w, self.width)]
-            planes.append(sampling._resize_separable(stage, row_taps, col_taps))
-        return np.concatenate(planes, axis=2)
-
     @functools.cached_property
     def grid(self) -> np.ndarray:  # [H/4, W/4, sum of stage widths]
-        return self.window(np.arange(self.height), np.arange(self.width))
+        return np.concatenate([sampling._resize_separable(stage, sampling._resize_taps(stage.shape[0], self.height),
+                                                          sampling._resize_taps(stage.shape[1], self.width))
+                               for stage in self.stages], axis=2)
 
 
 def build_pyramid(stages: list[np.ndarray], image_height: int | None = None,
@@ -95,7 +85,9 @@ class RoiConfig:
     samples_per_bin: int = 2
 
 
-def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection) -> tuple[float, float, float, float]:
+def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection,
+                      box_index: int | None = None) -> tuple[float, float, float, float]:
+    """The box in grid cells, clipped to the grid; a box clipped to nothing raises."""
     gh, gw = pyramid.height, pyramid.width
     sx = gw / float(pyramid.image_width)
     sy = gh / float(pyramid.image_height)
@@ -103,16 +95,9 @@ def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection) -> tuple[float
     y0 = min(max(box.y0 * sy, 0.0), float(gh))
     x1 = min(max(box.x1 * sx, 0.0), float(gw))
     y1 = min(max(box.y1 * sy, 0.0), float(gh))
-    return x0, y0, x1, y1
-
-
-def _box_points(pyramid: MultiScalePyramid, box: Detection, cfg: RoiConfig,
-                box_index: int | None = None) -> np.ndarray:
-    """The box's bin sample points in grid cells; a box clipped to nothing raises."""
-    x0, y0, x1, y1 = _clip_box_to_grid(pyramid, box)
     if x1 <= x0 or y1 <= y0:
         raise DegenerateBoxError(box, box_index)
-    return sampling.box_sample_points(x0, y0, x1, y1, cfg.bins, cfg.samples_per_bin)
+    return x0, y0, x1, y1
 
 
 def roi_align(
@@ -129,7 +114,7 @@ def roi_align(
     """
     b_h, b_w = cfg.bins
     s = cfg.samples_per_bin
-    points = _box_points(pyramid, box, cfg)
+    points = sampling.box_sample_points(*_clip_box_to_grid(pyramid, box), cfg.bins, s)
     grid = grid_tensor if grid_tensor is not None else Tensor(pyramid.grid)
     sampled = bilinear_sample(grid, points)  # [b_h*b_w*s*s, C]
     per_bin = sampled.reshape(b_h, b_w, s * s, pyramid.channels)
@@ -143,20 +128,21 @@ def extract_object_features(
 ) -> np.ndarray:
     """RoI-align each box then average-pool: a [k, C] array, rows in detection order.
 
-    All boxes are read at once from one pyramid window spanning the rows and
-    columns their samples touch, with the same arithmetic as
-    :func:`roi_align`, so rows are bit-identical to it.
+    The pooled read is separable: per stage it is ``(WY @ R) @ stage @ (WX @ C)^T``,
+    with ``WY``/``WX`` each box's mean bilinear weight per stride-4 row/column
+    and ``R``/``C`` the stage's upsample matrices, so no stride-4 cell is built.
+    Rows equal per-box :func:`roi_align` means up to summation order.
     """
-    c = pyramid.channels
-    if len(dets) == 0:
-        return np.zeros((0, c))
-    points = np.concatenate([_box_points(pyramid, det, cfg, i) for i, det in enumerate(dets.detections)])
-    i0, i1, j0, j1, wts = sampling.corner_weights(pyramid.height, pyramid.width, points)
-    rows, cols = np.union1d(i0, i1), np.union1d(j0, j1)
-    sampled = sampling.blend_corners(  # corner indices remapped into the window
-        pyramid.window(rows, cols), np.searchsorted(rows, i0), np.searchsorted(rows, i1),
-        np.searchsorted(cols, j0), np.searchsorted(cols, j1), wts)
-    b_h, b_w = cfg.bins
+    extents = [_clip_box_to_grid(pyramid, d, i) for i, d in enumerate(dets.detections)]
+    x0, y0, x1, y1 = np.array(extents).reshape(-1, 4).T
     s = cfg.samples_per_bin
-    per_bin = np.mean(sampled.reshape(len(dets), b_h, b_w, s * s, c), axis=3)
-    return np.mean(per_bin, axis=(1, 2))
+    wy = sampling.mean_tap_weights(sampling.box_axis_coords(y0, y1, cfg.bins[0], s), pyramid.height)
+    wx = sampling.mean_tap_weights(sampling.box_axis_coords(x0, x1, cfg.bins[1], s), pyramid.width)
+    blocks = []
+    for stage in pyramid.stages:
+        h, w, c = stage.shape
+        # upsample matrices: output cell i reads the center of bin i of the stage's extent
+        rows = wy @ sampling.mean_tap_weights(sampling.box_axis_coords(0.0, h, pyramid.height, 1)[:, None], h)
+        cols = wx @ sampling.mean_tap_weights(sampling.box_axis_coords(0.0, w, pyramid.width, 1)[:, None], w)
+        blocks.append(np.einsum("bq,bqc->bc", cols, (rows @ stage.reshape(h, w * c)).reshape(-1, w, c)))
+    return np.concatenate(blocks, axis=1)

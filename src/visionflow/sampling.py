@@ -84,6 +84,16 @@ def _resize_taps(src: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _axis_taps((np.arange(out, dtype=np.float64) + 0.5) * (src / out), src)
 
 
+def mean_tap_weights(coords: np.ndarray, n: int) -> np.ndarray:
+    """``[B, m]`` coordinates on an ``n``-cell axis -> ``[B, n]``: row ``b`` averages
+    its ``m`` points' two-tap weights, so ``weights @ values`` is the mean of
+    those ``m`` bilinear reads along this axis."""
+    i0, i1, frac = _axis_taps(coords, n)
+    cells = np.arange(coords.shape[0])[:, None] * n + np.stack([i0, i1])  # flat [row, cell] ids
+    weights = np.bincount(cells.ravel(), np.stack([1.0 - frac, frac]).ravel(), minlength=coords.shape[0] * n)
+    return weights.reshape(-1, n) / coords.shape[1]
+
+
 def _interpolate_axis(grid: np.ndarray, axis: int, taps) -> np.ndarray:
     i0, i1, frac = taps
     f = frac.reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
@@ -110,25 +120,27 @@ def resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _resize_separable(grid, _resize_taps(h, out_h), _resize_taps(w, out_w))
 
 
+def box_axis_coords(lo, hi, bins: int, samples: int) -> np.ndarray:
+    """Sample coordinates along one box axis, ``[..., bins*samples]`` in (bin, sample)
+    order: ``lo + (hi - lo) / bins * (b + (s + 0.5) / samples)``. ``lo``/``hi`` may
+    be arrays of extents, in grid cell units."""
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    step = (np.asarray(hi, dtype=np.float64)[..., None] - lo) / bins
+    offs = (np.arange(samples, dtype=np.float64) + 0.5) / samples
+    return lo + step * (np.arange(bins, dtype=np.float64)[:, None] + offs[None, :]).ravel()
+
+
 def box_sample_points(
     x0: float, y0: float, x1: float, y1: float, bins: tuple[int, int], samples: int
 ) -> np.ndarray:
     """Sample points for box feature extraction, in grid cell units.
 
-    The box is divided into ``bins = (b_h, b_w)`` equal bins; each bin is
-    sampled at an ``samples x samples`` regular interior lattice: sample
-    ``(si, sj)`` of bin ``(bi, bj)`` lies at
-    ``y0 + bin_h * (bi + (si + 0.5) / samples)`` (and likewise in x), so a
-    1x1 bin with one sample reads exactly the box center. Points are ordered
+    Each of the ``bins = (b_h, b_w)`` equal bins is sampled at the
+    ``samples x samples`` lattice of :func:`box_axis_coords`, so a 1x1 bin with
+    one sample reads exactly the box center. Points are ordered
     (bi, bj, si, sj) row-major, shape ``[b_h*b_w*samples*samples, 2]``.
     """
     b_h, b_w = bins
-    bin_h = (y1 - y0) / b_h
-    bin_w = (x1 - x0) / b_w
-    offs = (np.arange(samples, dtype=np.float64) + 0.5) / samples
-    ys = y0 + bin_h * (np.arange(b_h, dtype=np.float64)[:, None] + offs[None, :])
-    xs = x0 + bin_w * (np.arange(b_w, dtype=np.float64)[:, None] + offs[None, :])
-    # [b_h, b_w, s, s] grids of y and x, then flatten in (bi, bj, si, sj) order
-    yy = np.broadcast_to(ys[:, None, :, None], (b_h, b_w, samples, samples))
-    xx = np.broadcast_to(xs[None, :, None, :], (b_h, b_w, samples, samples))
+    yy, xx = np.broadcast_arrays(box_axis_coords(y0, y1, b_h, samples).reshape(b_h, 1, samples, 1),
+                                 box_axis_coords(x0, x1, b_w, samples).reshape(1, b_w, 1, samples))
     return np.stack([yy.ravel(), xx.ravel()], axis=1)

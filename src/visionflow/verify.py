@@ -29,13 +29,13 @@ from .assembly import (
     scorer_logits,
     sinusoidal_positions,
 )
-from .boxes import Detection, nms_indices
+from .boxes import Detection, DetectionSet, nms_indices
 from .config import RunConfig, config_from_dict
 from .datagen import generate_dataset, small_training_config
 from .encoders import EncoderConfig, generate_scene
 from .fusion import fuse
 from .pipeline import build_components, encode_frame, prepare_sample, run_image
-from .roi import RoiConfig, build_pyramid, roi_align
+from .roi import RoiConfig, build_pyramid, extract_object_features, roi_align
 from .tensor import Tensor, affine, bilinear_sample, causal_attention, concat, conv1d, gelu, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
@@ -466,7 +466,7 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
     dev = float(np.max(np.abs(got - cval)))
     suite.add("constant_map", dev < 1e-9, f"max deviation from constant {dev:.3g}")
     _check_resize_oracle(suite, seed)
-    _check_pyramid_window(suite, seed)
+    _check_separable_read(suite, seed, pyramids=max(4, pairs // 10))
     return suite
 
 
@@ -486,23 +486,52 @@ def _check_resize_oracle(suite: SuiteResult, seed: int, shapes: int = 40) -> Non
               f"max abs diff {worst:.3g} over {shapes} shapes, {upsampled} of them enlarging")
 
 
-def _check_pyramid_window(suite: SuiteResult, seed: int, windows: int = 4) -> None:
-    """On real encoder stages: windows equal the dense grid bit for bit, and
-    the batched RoI read equals per-box ``roi_align`` bit for bit."""
+def _check_separable_read(suite: SuiteResult, seed: int, pyramids: int) -> None:
+    """The separable ``extract_object_features`` against per-box ``roi_align``
+    on real encoder stages, and against the nested-loop sampler over the dense
+    grid of seeded random multi-stage pyramids."""
     cfg = RunConfig(seed=seed)
-    _, _, batched, dets, pyramid = encode_frame(build_components(cfg), generate_scene(seed, n_objects=3))
-    gen = rng.stream(seed, "verify.roi.window")
-    same = True
-    for _ in range(windows):
-        rows = gen.choice(pyramid.height, size=int(gen.integers(1, pyramid.height)), replace=False)
-        cols = gen.choice(pyramid.width, size=int(gen.integers(1, pyramid.width)), replace=False)
-        same &= pyramid.window(rows, cols).tobytes() == pyramid.grid[np.ix_(rows, cols)].tobytes()
-    suite.add("window_equals_grid", same,
-              f"{windows} random windows of a {pyramid.height}x{pyramid.width}x{pyramid.channels} pyramid")
-    per_box = [roi_align(pyramid, d, cfg.roi).mean(axis=(0, 1)).data for d in dets.detections]
-    want = np.stack(per_box) if per_box else np.zeros((0, pyramid.channels))
-    suite.add("batched_equals_per_box", batched.tobytes() == want.tobytes(),
-              f"{len(dets)} boxes, one window vs per-box roi_align")
+    scene = generate_scene(seed, n_objects=3)
+    _, _, features, dets, pyramid = encode_frame(build_components(cfg), scene)
+    gen = rng.stream(seed, "verify.roi.crowd")
+    crowd = []
+    while len(crowd) < 100:  # overlapping boxes, some past the image edge
+        x0, y0 = float(gen.uniform(-0.1, 0.9) * scene.width), float(gen.uniform(-0.1, 0.9) * scene.height)
+        x1, y1 = x0 + float(gen.uniform(2.0, 0.5 * scene.width)), y0 + float(gen.uniform(2.0, 0.5 * scene.height))
+        if x1 > 0.0 and y1 > 0.0:
+            crowd.append(Detection(x0, y0, x1, y1, 0.5, "obj"))
+    crowd_features = extract_object_features(pyramid, DetectionSet(scene.image_id, crowd), cfg.roi)
+    worst = 0.0
+    for boxes, got in ((dets.detections, features), (crowd, crowd_features)):
+        for d, row in zip(boxes, got):
+            worst = max(worst, float(np.max(np.abs(row - roi_align(pyramid, d, cfg.roi).mean(axis=(0, 1)).data))))
+    suite.add("separable_equals_per_box", worst < 1e-12 and len(features) == len(dets),
+              f"max abs diff {worst:.3g}, {len(dets)} scene boxes and {len(crowd)} crowded boxes")
+    worst = 0.0
+    for case in range(pyramids):
+        gen = rng.stream(seed, f"verify.roi.separable.{case}")
+        gh, gw = (int(v) for v in gen.integers(2, 16, size=2))
+        extents = [(gh, gw)] + [(int(gen.integers(1, gh + 1)), int(gen.integers(1, gw + 1)))
+                                for _ in range(int(gen.integers(0, 4)))]
+        stages = [gen.normal(0.0, 1.0, size=(h, w, int(gen.integers(1, 4)))) for h, w in extents]
+        img_h, img_w = (int(v) for v in gen.integers(8, 120, size=2))
+        pyramid = build_pyramid(stages, image_height=img_h, image_width=img_w)
+        roi_cfg = RoiConfig(bins=(1, 1), samples_per_bin=1) if case == 0 else RoiConfig(
+            bins=(int(gen.integers(1, 5)), int(gen.integers(1, 5))), samples_per_bin=int(gen.integers(1, 4)))
+        boxes = []
+        for k in range(4):  # box 0 is narrower than one cell, box 1 shorter; any may cross an edge
+            w = float(gen.uniform(0.1, 1.0) * img_w / gw if k == 0 else gen.uniform(1.0, img_w))
+            h = float(gen.uniform(0.1, 1.0) * img_h / gh if k == 1 else gen.uniform(1.0, img_h))
+            x0, y0 = float(gen.uniform(-w, img_w)), float(gen.uniform(-h, img_h))
+            boxes.append(Detection(x0, y0, x0 + w, y0 + h, 0.5, "obj"))
+        got = extract_object_features(pyramid, DetectionSet("case", boxes), roi_cfg)
+        sx, sy = gw / img_w, gh / img_h
+        for d, row in zip(boxes, got):
+            grid_box = (max(d.x0, 0.0) * sx, max(d.y0, 0.0) * sy, min(d.x1, img_w) * sx, min(d.y1, img_h) * sy)
+            want = naive_roi_align(pyramid.grid, grid_box, roi_cfg.bins, roi_cfg.samples_per_bin)
+            worst = max(worst, float(np.max(np.abs(row - want.mean(axis=(0, 1))))))
+    suite.add("separable_oracle", worst < 1e-12,
+              f"max abs diff {worst:.3g} over {pyramids} random multi-stage pyramids")
 
 
 def _scorer_cases(seed: int, cases: int):

@@ -356,15 +356,17 @@ def test_run_image_hashes_equal_the_composed_ops(seed):
 
 
 # run_video result_hash on the default config for an 8-frame seeded video
-# (all 8 frames sampled, prompt 1,2,3, answer 4,5 scored), and the
-# checkpoint_hash of a 6-step small-config `train` on a 6-sample seed-0
-# dataset, both recorded before the unused RoI, tensor and box paths were
-# removed. Removing code must leave them unchanged.
+# (all 8 frames sampled, prompt 1,2,3, answer 4,5 scored), recorded before the
+# unused RoI, tensor and box paths were removed; removing code must leave it
+# unchanged. The checkpoint_hash of a 6-step small-config `train` on a
+# 6-sample seed-0 dataset was re-pinned when object features moved to the
+# separable RoI read: the loss curve kept every printed digit, and parameters
+# moved by at most 3.3e-14.
 VIDEO_HASHES = {
     0: "a3e7b84b162fa0d42d7d6daeed8f207b5e508e0aa2871ff4dfc015288c0686f4",
     7: "10d8cde2f184b83aa87d348fbf5c662ea5a46bf6d1b32875f8d6e3eb1787b54e",
 }
-TRAIN_CHECKPOINT_HASH = "e496b2697bf6b2c11aec5cc06fe36873fd6798b2f46b35a78845ed2d1526fb64"
+TRAIN_CHECKPOINT_HASH = "01a8847c31327427735b4c2e560cc9e4b52a5925da7b25ce3b7df65b73c80b81"
 
 
 @pytest.mark.parametrize("seed", sorted(VIDEO_HASHES))

@@ -305,6 +305,10 @@ def test_verify_suite_filter(capsys):
     assert "tokens/" in out and "nms/" not in out
 
 
+def test_verify_roi_suite_passes(capsys):
+    assert main(["verify", "--suite", "roi", "--fast"]) == EXIT_OK
+
+
 def test_verify_inject_fault_fails_with_named_check(capsys):
     code = main(["verify", "--suite", "gradients", "--fast", "--inject-fault"])
     assert code == EXIT_VERIFY
@@ -437,3 +441,30 @@ def test_gen_data_video_descriptor(tmp_path):
     assert main(["gen-data", "--video", "--frames", "5", "--out", str(out), "--seed", "2"]) == EXIT_OK
     payload = json.load(open(out))
     assert len(payload["frames"]) == 5
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda s: s["detections"][1].update(box="1234"), "detections[1].box"),
+    (lambda s: s["detections"][1].update(box=[1, 2, 3, 4, 5]), "detections[1].box"),
+    (lambda s: s["detections"][1].update(box=[1, 2]), "detections[1].box"),
+    (lambda s: s["detections"][1].update(box=[1, 2, float("nan"), 4]), "detections[1].box"),
+    (lambda s: s["detections"][1].update(box=[1, 2, 10**400, 4]), "detections[1].box"),
+    (lambda s: s["detections"][1].update(box=[10, 2, 3, 4]), "detections[1]: degenerate box"),
+    (lambda s: s["detections"][1].update(score=True), "detections[1].score"),
+    (lambda s: s["detections"][1].update(score=None), "detections[1].score"),
+    (lambda s: s["detections"][1].update(label=5), "detections[1].label"),
+    (lambda s: s["detections"].__setitem__(1, 7), "detections[1] must be a JSON object"),
+    (lambda s: s.update(detections=None), "detections must be a list"),
+    (lambda s: s.update(image_id=3), "image_id"),
+], ids=["box_string", "box_five_values", "box_two_values", "box_nan", "box_past_float_range", "box_degenerate",
+        "score_bool", "score_null", "label_number", "entry_not_an_object", "detections_null", "image_id_number"])
+def test_malformed_boxes_file_exits_data_naming_the_field(tmp_path, capsys, edit, field):
+    from visionflow.boxes import Detection, DetectionSet
+
+    image_id = generate_scene(5).image_id
+    entry = DetectionSet(image_id, [Detection(0, 0, 5, 5, 0.9, "cat"), Detection(2, 2, 9, 9, 0.8, "dog")]).to_dict()
+    edit(entry)
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps(entry))
+    assert main(["infer", *TINY, "--scene-seed", "5", "--boxes-file", str(path)]) == EXIT_DATA
+    assert field in capsys.readouterr().err
