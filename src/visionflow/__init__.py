@@ -14,8 +14,8 @@ from .encoders import (
     render_scene,
 )
 from .fusion import FusionStrategy, conv_gate_fuse, cross_attention, fuse
-from .roi import MultiScalePyramid, build_pyramid, extract_object_features, roi_align
-from .tensor import Tensor, ShapeError, bilinear_sample, concat, conv1d, one_hot
+from .roi import MultiScalePyramid, build_pyramid, extract_object_features
+from .tensor import Tensor, ShapeError, concat, conv1d, one_hot
 from .training import FreezeMask, ModelParams, train_two_stage
 
 __version__ = "0.1.0"

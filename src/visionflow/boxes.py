@@ -8,14 +8,13 @@ and a file-ingestion detector covers externally produced boxes.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
 
 from . import rng
-from .encoders import SceneDescriptor
+from .encoders import SceneDescriptor, finite_number
 
 COCO80_LABELS = (
     "person", "bicycle", "car", "motorcycle", "airplane", "bus", "train", "truck",
@@ -34,7 +33,6 @@ COCO80_LABELS = (
 
 HISTOGRAM_BINS = ((0, 0, "0"), (1, 10, "1-10"), (11, 20, "11-20"),
                   (21, 30, "21-30"), (31, 50, "31-50"), (51, None, ">50"))
-_FLOAT_MAX = sys.float_info.max
 
 
 class PipelineError(RuntimeError):
@@ -84,21 +82,17 @@ class Detection:
         if not isinstance(obj, dict):
             raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
         box, score, label = obj.get("box"), obj.get("score"), obj.get("label")
-        if not isinstance(box, list) or len(box) != 4 or not all(map(_is_finite_number, box)):
-            raise ValueError(f"{name}.box must be a list of 4 finite numbers, got {box!r}")
-        if not _is_finite_number(score):
-            raise ValueError(f"{name}.score must be a finite number, got {score!r}")
+        if not isinstance(box, list) or len(box) != 4:
+            raise ValueError(f"{name}.box must be a list of 4 numbers, got {box!r}")
+        where = name + ".box value"
+        coords = [finite_number(v, where) for v in box]
+        score = finite_number(score, name + ".score")
         if not isinstance(label, str) or not label:
             raise ValueError(f"{name}.label must be a non-empty string, got {label!r}")
         try:
-            return cls(float(box[0]), float(box[1]), float(box[2]), float(box[3]), float(score), label)
+            return cls(*coords, score, label)
         except ValueError as exc:  # a degenerate box or a score outside [0, 1]
             raise ValueError(f"{name}: {exc}") from None
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number within the float range; bools, NaN and infinities are not."""
-    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 @dataclass
@@ -156,7 +150,7 @@ def nms_indices(dets: list[Detection], iou_threshold: float, class_aware: bool =
     x1 = np.array([dets[i].x1 for i in order])
     y1 = np.array([dets[i].y1 for i in order])
     areas = (x1 - x0) * (y1 - y0)
-    labels = [dets[i].label for i in order]
+    labels = np.unique([dets[i].label for i in order], return_inverse=True)[1]
     alive = np.ones(n, dtype=bool)
     keep: list[int] = []
     for pos in range(n):
@@ -172,8 +166,7 @@ def nms_indices(dets: list[Detection], iou_threshold: float, class_aware: bool =
         overlap = inter / (areas[pos] + areas[rest] - inter)
         suppress = overlap > iou_threshold
         if class_aware:
-            same = np.array([labels[r] == labels[pos] for r in rest])
-            suppress &= same
+            suppress &= labels[rest] == labels[pos]
         alive[rest[suppress]] = False
     return keep
 

@@ -70,16 +70,20 @@ def load_dataset(path: str) -> list[RawSample]:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
         raise DatasetError(f"{path}: not a {DATASET_FORMAT} file")
+    entries = payload.get("samples", [])
+    if not isinstance(entries, list):
+        raise DatasetError(f"{path}: samples must be a list, got {type(entries).__name__}")
     samples = []
-    for i, entry in enumerate(payload.get("samples", [])):
+    for i, entry in enumerate(entries):
         try:
-            samples.append(RawSample(
-                scene=SceneDescriptor.from_dict(entry["scene"]),
-                text_ids=[int(v) for v in entry["text_ids"]],
-                answer_ids=[int(v) for v in entry["answer_ids"]],
-            ))
+            scene = SceneDescriptor.from_dict(entry["scene"])
+            ids = [entry["text_ids"], entry["answer_ids"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: sample {i} is malformed: {exc}") from exc
+        for key, value in zip(("text_ids", "answer_ids"), ids):
+            if not isinstance(value, list) or any(type(v) is not int for v in value):
+                raise DatasetError(f"{path}: samples[{i}].{key} must be a list of integers, got {value!r}")
+        samples.append(RawSample(scene, *ids))
     if not samples:
         raise DatasetError(f"{path}: dataset holds no samples")
     return samples

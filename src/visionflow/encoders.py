@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,6 +190,7 @@ class ObjectSpec:
 # at 2048 x 2048, so an unchecked extent could exhaust memory before any model
 # code runs.
 MAX_SCENE_SIDE = 2048
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -225,14 +227,14 @@ class SceneDescriptor:
         for n, o in enumerate(obj.get("objects", [])):
             if not isinstance(o, dict):
                 raise ValueError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
-            coords = [_finite_number(o.get(k), f"objects[{n}].{k}") for k in ("x0", "y0", "x1", "y1")]
+            coords = [finite_number(o.get(k), f"scene objects[{n}].{k}") for k in ("x0", "y0", "x1", "y1")]
             label = o.get("label")
             if not isinstance(label, str) or not label:
                 raise ValueError(f"scene objects[{n}].label must be a non-empty string, got {label!r}")
             objects.append(ObjectSpec(*coords, label))
         extent = {}
         for key in ("height", "width"):
-            value = _finite_number(obj.get(key, 256), key)
+            value = finite_number(obj.get(key, 256), f"scene {key}")
             if not (0 < value <= MAX_SCENE_SIDE and value == int(value)):
                 raise ValueError(f"scene {key} must be an integer in [1, {MAX_SCENE_SIDE}], got {value}")
             extent[key] = int(value)
@@ -242,11 +244,13 @@ class SceneDescriptor:
         return cls(seed=int(seed), objects=tuple(objects), **extent)
 
 
-def _finite_number(value, name: str) -> float:
-    """``value`` as a float if it is a finite number, else a ValueError naming the scene field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"scene {name} must be a finite number, got {value!r}")
-    return float(value)
+def finite_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number within the float range, else a
+    ValueError naming the field; bools, NaN, infinities and integers too large
+    for a float are not numbers here. Scene and box files share this check."""
+    if (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _boxes_overlap(a: ObjectSpec, b: ObjectSpec) -> float:

@@ -5,9 +5,10 @@ stride-4 grid and channel-concatenated. Each detection is read out of it with
 quantization-free bilinear sampling (boxes mapped to grid units by dividing by
 the pyramid stride, clipped, never rejected unless they collapse to zero area)
 and average-pooled to one vector per box. Reads and upsamples are linear and
-separable, so inference pools each box in closed form from the stages and
-never builds the grid; per-box ``roi_align`` over the grid is its oracle and,
-on a tracked grid, the only path that carries gradients to the pyramid.
+separable, so :func:`extract_object_features` pools each box in closed form
+from the stages and never builds the grid. The encoders are frozen, so the
+read is plain numpy; the per-box sampler over the dense grid that checks it
+lives in :mod:`visionflow.verify`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import sampling
 from .boxes import Detection, DetectionSet
-from .tensor import Tensor, bilinear_sample
 
 
 class DegenerateBoxError(ValueError):
@@ -39,8 +39,8 @@ class MultiScalePyramid:
     """Encoder stages, kept as given in stride order, the first at stride 4.
 
     ``grid`` is the dense pyramid (all stages upsampled to stride 4 and
-    concatenated along channels), built on first use for the oracle and
-    gradient checks; :func:`extract_object_features` reads the stages.
+    concatenated along channels), built on first use for the oracle checks;
+    :func:`extract_object_features` reads the stages.
 
     ``image_height``/``image_width`` name the coordinate frame boxes live in
     (the original image); when that frame equals the encoder input, mapping a
@@ -54,10 +54,6 @@ class MultiScalePyramid:
         self.height, self.width = stages[0].shape[:2]
         self.image_height = image_height
         self.image_width = image_width
-
-    @property
-    def channels(self) -> int:
-        return sum(s.shape[2] for s in self.stages)
 
     @functools.cached_property
     def grid(self) -> np.ndarray:  # [H/4, W/4, sum of stage widths]
@@ -100,27 +96,6 @@ def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection,
     return x0, y0, x1, y1
 
 
-def roi_align(
-    pyramid: MultiScalePyramid,
-    box: Detection,
-    cfg: RoiConfig = RoiConfig(),
-    grid_tensor: Tensor | None = None,
-) -> Tensor:
-    """Continuous per-bin sampling of the pyramid under one box -> [b_h, b_w, C].
-
-    Each bin averages samples_per_bin^2 bilinear reads at regularly spaced
-    interior points; box edges are never quantized. Pass ``grid_tensor`` to
-    reuse a tracked wrapper of ``pyramid.grid`` (e.g. during gradient checks).
-    """
-    b_h, b_w = cfg.bins
-    s = cfg.samples_per_bin
-    points = sampling.box_sample_points(*_clip_box_to_grid(pyramid, box), cfg.bins, s)
-    grid = grid_tensor if grid_tensor is not None else Tensor(pyramid.grid)
-    sampled = bilinear_sample(grid, points)  # [b_h*b_w*s*s, C]
-    per_bin = sampled.reshape(b_h, b_w, s * s, pyramid.channels)
-    return per_bin.mean(axis=2)
-
-
 def extract_object_features(
     pyramid: MultiScalePyramid,
     dets: DetectionSet,
@@ -131,7 +106,7 @@ def extract_object_features(
     The pooled read is separable: per stage it is ``(WY @ R) @ stage @ (WX @ C)^T``,
     with ``WY``/``WX`` each box's mean bilinear weight per stride-4 row/column
     and ``R``/``C`` the stage's upsample matrices, so no stride-4 cell is built.
-    Rows equal per-box :func:`roi_align` means up to summation order.
+    Rows equal the per-box sampler over ``pyramid.grid`` up to summation order.
     """
     extents = [_clip_box_to_grid(pyramid, d, i) for i, d in enumerate(dets.detections)]
     x0, y0, x1, y1 = np.array(extents).reshape(-1, 4).T

@@ -10,10 +10,12 @@ interpolation is always a convex combination of stored values.
 Resizing maps output cell center ``i + 0.5`` to source coordinate
 ``(i + 0.5) * src_extent / out_extent`` (align_corners=False semantics,
 no antialiasing). Bilinear resizing is separable, so :func:`resize`
-interpolates rows, then columns, with two taps per axis; the per-cell gather
-(:func:`center_points` + :func:`sample_grid`) stays as its oracle. Image
-resizing, pyramid upsampling, and box feature sampling all go through this
-module so their conventions cannot drift.
+interpolates rows, then columns, with two taps per axis. The per-point read
+:func:`sample_grid` is the definition the oracles check against: over
+:func:`center_points` it is the per-cell gather :func:`resize` replaced, over
+:func:`box_sample_points` the per-box RoI read. Image resizing, pyramid
+upsampling, and box feature sampling all go through this module so their
+conventions cannot drift.
 """
 
 from __future__ import annotations
@@ -47,19 +49,16 @@ def corner_weights(
     return i0, i1, j0, j1, weights
 
 
-def blend_corners(grid: np.ndarray, i0, i1, j0, j1, weights: np.ndarray) -> np.ndarray:
-    """The weighted sum of four corner reads from :func:`corner_weights` -> [P, C]."""
+def sample_grid(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Bilinearly sample ``grid`` ([h, w, C]) at ``points`` ([P, 2]) -> [P, C]:
+    the weighted sum of the four corner reads from :func:`corner_weights`."""
+    i0, i1, j0, j1, weights = corner_weights(grid.shape[0], grid.shape[1], points)
     return (
         grid[i0, j0] * weights[:, 0:1]
         + grid[i0, j1] * weights[:, 1:2]
         + grid[i1, j0] * weights[:, 2:3]
         + grid[i1, j1] * weights[:, 3:4]
     )
-
-
-def sample_grid(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Bilinearly sample ``grid`` ([h, w, C]) at ``points`` ([P, 2]) -> [P, C]."""
-    return blend_corners(grid, *corner_weights(grid.shape[0], grid.shape[1], points))
 
 
 def center_points(out_h: int, out_w: int, scale_y: float, scale_x: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Dense tensors with a fixed differentiable op set and reverse-mode gradients.
 
 The op set: add, neg, mul, sigmoid, tanh, softmax, log_softmax, sum, mean,
-reshape, transpose, narrow, concat, matmul, conv1d and bilinear_sample, plus
-three fused primitives that each record one tape node with an analytic
-backward: ``affine`` (``x @ w + b``), ``gelu`` (tanh approximation) and
+reshape, transpose, narrow, concat, matmul and conv1d, plus three fused
+primitives that each record one tape node with an analytic backward:
+``affine`` (``x @ w + b``), ``gelu`` (tanh approximation) and
 ``causal_attention`` (``softmax(q k^T / sqrt(d)) v`` over the keys each
-query may see). ``one_hot`` builds constant rows.
+query may see). ``one_hot`` builds constant rows. Only the trainable side
+(fusion, projectors, merge, scorer) records ops; the frozen encoders and the
+RoI read are plain numpy and enter a graph as constants.
 
 Values are row-major float64 numpy arrays (gradient checks demand double
 precision). Tensors are immutable values after construction: ops allocate
@@ -26,8 +28,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from . import sampling
 
 
 class ShapeError(ValueError):
@@ -442,34 +442,6 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             bias._accumulate(g.sum(axis=0))
 
     return Tensor._from_op(out_data, (x, w, bias), backward, "conv1d")
-
-
-def bilinear_sample(grid: Tensor, points: np.ndarray) -> Tensor:
-    """Differentiable bilinear sampling of ``grid`` [h, w, C] at ``points`` [P, 2].
-
-    Points are (y, x) in the cell-unit convention of :mod:`visionflow.sampling`
-    and are treated as constants; gradients flow to the grid values only.
-    """
-    if grid.ndim != 3:
-        raise ShapeError(f"bilinear_sample expects a [h, w, C] grid, got {grid.shape}")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ShapeError(f"bilinear_sample expects [P, 2] points, got {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("bilinear_sample points must be finite")
-    h, w, c = grid.shape
-    i0, i1, j0, j1, wts = sampling.corner_weights(h, w, points)
-    out_data = sampling.blend_corners(grid.data, i0, i1, j0, j1, wts)
-
-    def backward(g):
-        dgrid = np.zeros((h, w, c), dtype=g.dtype)
-        np.add.at(dgrid, (i0, j0), g * wts[:, 0:1])
-        np.add.at(dgrid, (i0, j1), g * wts[:, 1:2])
-        np.add.at(dgrid, (i1, j0), g * wts[:, 2:3])
-        np.add.at(dgrid, (i1, j1), g * wts[:, 3:4])
-        grid._accumulate(dgrid)
-
-    return Tensor._from_op(out_data, (grid,), backward, "bilinear_sample")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -35,8 +35,8 @@ from .datagen import generate_dataset, small_training_config
 from .encoders import EncoderConfig, generate_scene
 from .fusion import fuse
 from .pipeline import build_components, encode_frame, prepare_sample, run_image
-from .roi import RoiConfig, build_pyramid, extract_object_features, roi_align
-from .tensor import Tensor, affine, bilinear_sample, causal_attention, concat, conv1d, gelu, one_hot
+from .roi import MultiScalePyramid, RoiConfig, _clip_box_to_grid, build_pyramid, extract_object_features
+from .tensor import Tensor, affine, causal_attention, concat, conv1d, gelu, one_hot
 from .training import PreparedSample, TrainConfig, train_two_stage
 
 FD_TOLERANCE = 1e-4
@@ -183,6 +183,16 @@ def naive_roi_align(grid: np.ndarray, box: tuple[float, float, float, float],
     return out
 
 
+def per_box_roi_align(pyramid: MultiScalePyramid, box: Detection, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
+    """RoIAlign of one box over the dense ``pyramid.grid`` -> [b_h, b_w, C]: each
+    bin averages its ``samples_per_bin^2`` bilinear reads. This is the per-box
+    definition that :func:`extract_object_features` pools in closed form."""
+    b_h, b_w = cfg.bins
+    s = cfg.samples_per_bin
+    points = sampling.box_sample_points(*_clip_box_to_grid(pyramid, box), cfg.bins, s)
+    return sampling.sample_grid(pyramid.grid, points).reshape(b_h, b_w, s * s, -1).mean(axis=2)
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, kk = a.shape
     _, p = b.shape
@@ -289,36 +299,29 @@ def random_detections(gen: np.random.Generator, n: int, extent: float = 100.0,
 
 
 def full_pipeline_loss_builder(cfg: RunConfig, seed: int):
-    """Differentiable closure over (model params + pyramid leaf) for FD checks.
+    """Differentiable closure over the model params for FD checks.
 
     The frozen side runs for real: a rendered scene goes through both
-    encoders and the box pipeline; the pyramid enters as a gradient-tracked
-    leaf so the box feature path is part of the check.
+    encoders, the box pipeline and the RoI read, and their features enter
+    the graph as constants, as in training.
     """
     comp = build_components(cfg)
     scene = generate_scene(seed, n_objects=3,
                            height=cfg.encoder.high_res, width=cfg.encoder.high_res)
-    e_low, e_high, _, dets, pyramid = encode_frame(comp, scene)
-    pyramid_leaf = Tensor(pyramid.grid, requires_grad=True)  # shares the grid array
+    e_low, e_high, e_objects, _, _ = encode_frame(comp, scene)
     gen = rng.stream(seed, "verify.pipeline")
     text_emb = gen.normal(0.0, 1.0, size=(4, cfg.assembly.model_dim))
     answer = [int(v) for v in gen.integers(0, cfg.assembly.vocab_size, size=3)]
     model = comp.model
 
     def loss_fn() -> Tensor:
-        rows = []
-        for det in dets.detections:
-            aligned = roi_align(pyramid, det, cfg.roi, grid_tensor=pyramid_leaf)
-            rows.append(aligned.mean(axis=(0, 1)).reshape(1, pyramid.channels))
-        e_objects = concat(rows, axis=0)
         fused = fuse(Tensor(e_low), Tensor(e_high), model.fusion)
-        seq = assemble(model.proj_f.apply(fused), model.proj_b.apply(e_objects),
+        seq = assemble(model.proj_f.apply(fused), model.proj_b.apply(Tensor(e_objects)),
                        Tensor(text_emb), merge=cfg.assembly.merge,
                        merge_params=model.merge, text_first=cfg.assembly.text_first)
         return score_answer(seq, answer, model.scorer)
 
-    params = model.named_tensors() + [("pyramid", pyramid_leaf)]
-    return loss_fn, params
+    return loss_fn, model.named_tensors()
 
 
 # -- suites -----------------------------------------------------------------------
@@ -336,8 +339,6 @@ def _op_gradient_cases(gen: np.random.Generator):
     x = t((6, 3))
     w = t((4, 3, 3), scale=0.5)
     bias = t((4,), scale=0.1)
-    grid = t((5, 6, 3))
-    points = np.stack([gen.uniform(0.0, 5.0, size=8), gen.uniform(0.0, 6.0, size=8)], axis=1)
     aff_x, aff_w, aff_b = t((4, 3)), t((3, 5)), t((5,))
     att_q, att_k, att_v, att_row = t((3, 4)), t((5, 4)), t((5, 2)), t((1, 4))
     row_w = Tensor(gen.normal(size=(4,)))  # constants: weights for reductions
@@ -366,7 +367,6 @@ def _op_gradient_cases(gen: np.random.Generator):
         ("mean_axis", lambda: (a.mean(axis=1) * col_w).sum(), [("a", a)]),
         ("reshape_narrow", lambda: a.reshape(12, 1).narrow(0, 2, 6).sum(), [("a", a)]),
         ("concat", lambda: concat([a, b], axis=1).mean(), [("a", a), ("b", b)]),
-        ("bilinear_sample", lambda: bilinear_sample(grid, points).sum(), [("grid", grid)]),
         ("affine", lambda: affine(aff_x, aff_w, aff_b).sum(),
          [("x", aff_x), ("w", aff_w), ("b", aff_b)]),
         ("causal_attention_first_0", lambda: attention(att_q, 0), [("q", att_q)] + attention_leaves),
@@ -453,7 +453,7 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
         bins = (int(gen.integers(1, 5)), int(gen.integers(1, 5)))
         samples = int(gen.integers(1, 4))
         det = Detection(bx0, by0, bx1, by1, 0.9, "obj")
-        got = roi_align(pyramid, det, RoiConfig(bins=bins, samples_per_bin=samples)).data
+        got = per_box_roi_align(pyramid, det, RoiConfig(bins=bins, samples_per_bin=samples))
         want = naive_roi_align(grid, (bx0 / 4, by0 / 4, bx1 / 4, by1 / 4), bins, samples)
         worst = max(worst, float(np.max(np.abs(got - want))))
     suite.add("oracle_equivalence", worst < 1e-9, f"max abs diff {worst:.3g} over {pairs} pairs")
@@ -462,7 +462,7 @@ def suite_roi(pairs: int = 500, seed: int = 0) -> SuiteResult:
     cval = float(gen.normal())
     pyramid = build_pyramid([np.full((8, 8, 3), cval)])
     det = Detection(3.0, 5.0, 27.0, 29.0, 0.9, "obj")
-    got = roi_align(pyramid, det, RoiConfig(bins=(7, 7), samples_per_bin=2)).data
+    got = per_box_roi_align(pyramid, det, RoiConfig(bins=(7, 7), samples_per_bin=2))
     dev = float(np.max(np.abs(got - cval)))
     suite.add("constant_map", dev < 1e-9, f"max deviation from constant {dev:.3g}")
     _check_resize_oracle(suite, seed)
@@ -487,7 +487,7 @@ def _check_resize_oracle(suite: SuiteResult, seed: int, shapes: int = 40) -> Non
 
 
 def _check_separable_read(suite: SuiteResult, seed: int, pyramids: int) -> None:
-    """The separable ``extract_object_features`` against per-box ``roi_align``
+    """The separable ``extract_object_features`` against ``per_box_roi_align``
     on real encoder stages, and against the nested-loop sampler over the dense
     grid of seeded random multi-stage pyramids."""
     cfg = RunConfig(seed=seed)
@@ -504,7 +504,7 @@ def _check_separable_read(suite: SuiteResult, seed: int, pyramids: int) -> None:
     worst = 0.0
     for boxes, got in ((dets.detections, features), (crowd, crowd_features)):
         for d, row in zip(boxes, got):
-            worst = max(worst, float(np.max(np.abs(row - roi_align(pyramid, d, cfg.roi).mean(axis=(0, 1)).data))))
+            worst = max(worst, float(np.max(np.abs(row - per_box_roi_align(pyramid, d, cfg.roi).mean(axis=(0, 1))))))
     suite.add("separable_equals_per_box", worst < 1e-12 and len(features) == len(dets),
               f"max abs diff {worst:.3g}, {len(dets)} scene boxes and {len(crowd)} crowded boxes")
     worst = 0.0

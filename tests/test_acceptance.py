@@ -15,6 +15,7 @@ from visionflow.assembly import MergeMethod, assemble, assemble_video
 from visionflow.boxes import (
     BoxPipelineConfig,
     Detection,
+    DetectionSet,
     FixedTags,
     MockDetector,
     SyntheticTags,
@@ -26,7 +27,7 @@ from visionflow.datagen import load_dataset, small_training_config
 from visionflow.encoders import EncoderConfig, generate_scene
 from visionflow.fusion import FusionStrategy
 from visionflow.pipeline import build_components, prepare_sample
-from visionflow.roi import RoiConfig, build_pyramid, roi_align
+from visionflow.roi import RoiConfig, build_pyramid, extract_object_features
 from visionflow.tensor import Tensor
 from visionflow.training import TrainConfig, mean_dataset_nll, train_two_stage
 from visionflow.verify import (
@@ -35,6 +36,7 @@ from visionflow.verify import (
     full_pipeline_loss_builder,
     naive_nms,
     naive_roi_align,
+    per_box_roi_align,
     random_detections,
     suite_gradients,
     tiny_config,
@@ -88,15 +90,16 @@ def test_criterion_3_roi_oracle_equivalence():
         y1 = float(min(y0 + gen.uniform(1, h * 2), h * 4))
         bins = (int(gen.integers(1, 6)), int(gen.integers(1, 6)))
         s = int(gen.integers(1, 4))
-        got = roi_align(pyr, Detection(x0, y0, x1, y1, 0.9, "o"),
-                        RoiConfig(bins=bins, samples_per_bin=s)).data
+        det, cfg = Detection(x0, y0, x1, y1, 0.9, "o"), RoiConfig(bins=bins, samples_per_bin=s)
         want = naive_roi_align(grid, (x0 / 4, y0 / 4, x1 / 4, y1 / 4), bins, s)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        pooled = extract_object_features(pyr, DetectionSet("img", [det]), cfg)[0]
+        worst = max(worst, float(np.max(np.abs(per_box_roi_align(pyr, det, cfg) - want))),
+                    float(np.max(np.abs(pooled - want.mean(axis=(0, 1))))))
     pyr = build_pyramid([np.full((9, 9, 4), -0.75)])
-    const = roi_align(pyr, Detection(2.0, 3.0, 33.0, 34.0, 0.9, "o")).data
+    const = per_box_roi_align(pyr, Detection(2.0, 3.0, 33.0, 34.0, 0.9, "o"))
     const_dev = float(np.max(np.abs(const + 0.75)))
     ok = worst < 1e-9 and const_dev < 1e-9
-    report(3, ok, f"500 (pyramid, box) pairs, max |diff| {worst:.2e} < 1e-9; "
+    report(3, ok, f"500 (pyramid, box) pairs, per bin and pooled, max |diff| {worst:.2e} < 1e-9; "
                   f"constant-map deviation {const_dev:.2e} < 1e-9")
 
 

@@ -367,8 +367,10 @@ def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, 
     (lambda d: d["objects"][0].update(label=None), "objects[0].label"),
     (lambda d: d["objects"][1].update(label=5), "objects[1].label"),
     (lambda d: d["objects"][0].pop("label"), "objects[0].label"),
+    (lambda d: d["objects"][0].update(x0=10**400), "objects[0].x0"),
+    (lambda d: d.update(height=10**400), "height"),
 ], ids=["seed_null", "seed_fractional", "height_null", "width_string", "x0_null", "y1_missing",
-        "label_null", "label_number", "label_missing"])
+        "label_null", "label_number", "label_missing", "x0_past_float_range", "height_past_float_range"])
 def test_mistyped_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, edit, field):
     scene = generate_scene(9, n_objects=2).to_dict()
     edit(scene)

@@ -10,7 +10,6 @@ from visionflow.tensor import (
     ShapeError,
     Tensor,
     affine,
-    bilinear_sample,
     causal_attention,
     concat,
     conv1d,
@@ -232,18 +231,6 @@ def test_concat_and_narrow_roundtrip():
 def test_concat_shape_mismatch():
     with pytest.raises(ShapeError, match="concat"):
         concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
-
-
-def test_bilinear_sample_reads_cell_centers_exactly():
-    grid = Tensor(np.arange(12.0).reshape(3, 4, 1))
-    pts = np.array([[0.5, 0.5], [2.5, 3.5], [1.5, 2.5]])
-    out = bilinear_sample(grid, pts)
-    np.testing.assert_array_equal(out.data.ravel(), [0.0, 11.0, 6.0])
-
-
-def test_bilinear_sample_rejects_nonfinite_points():
-    with pytest.raises(ValueError, match="finite"):
-        bilinear_sample(Tensor(np.ones((2, 2, 1))), np.array([[np.nan, 0.5]]))
 
 
 def test_affine_bias_gradient_is_column_sum():

@@ -9,7 +9,7 @@ import pytest
 
 from visionflow import rng
 from visionflow.assembly import MergeMethod
-from visionflow.datagen import generate_dataset, small_training_config
+from visionflow.datagen import DatasetError, generate_dataset, load_dataset, save_dataset, small_training_config
 from visionflow.pipeline import build_components, prepare_sample
 from visionflow.training import (
     Adam,
@@ -118,6 +118,29 @@ def test_empty_dataset_rejected():
         train_two_stage(fresh_model(cfg), [], TrainConfig())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("text_ids", "123"),
+    ("answer_ids", [2.9, 1]),
+    ("answer_ids", [2, True]),
+    ("text_ids", 5),
+], ids=["string", "float", "bool", "not_a_list"])
+def test_load_dataset_rejects_token_ids_that_are_not_integer_lists(tmp_path, key, value):
+    path = tmp_path / "data.json"
+    save_dataset(generate_dataset(small_training_config(0), n_samples=2), str(path), seed=0)
+    payload = json.loads(path.read_text())
+    payload["samples"][1][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match=re.escape(f"samples[1].{key}")):
+        load_dataset(str(path))
+
+
+def test_load_dataset_rejects_samples_that_are_not_a_list(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"format": "visionflow-dataset-v1", "samples": 5}))
+    with pytest.raises(DatasetError, match="samples must be a list"):
+        load_dataset(str(path))
+
+
 def test_adam_skips_gradless_tensors():
     from visionflow.tensor import Tensor
 
@@ -181,7 +204,7 @@ def test_curve_csv_format():
 
 def test_prepared_pipeline_samples_train(tmp_path):
     # end-to-end: real scenes through the frozen side, then a short fit
-    from visionflow.datagen import generate_dataset, small_training_config
+    from visionflow.datagen import DatasetError, generate_dataset, load_dataset, save_dataset, small_training_config
 
     cfg = small_training_config(0)
     comp = build_components(cfg)
