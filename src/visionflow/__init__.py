@@ -5,6 +5,7 @@ from .assembly import MergeMethod, TokenSequence, assemble, assemble_video, scor
 from .boxes import Detection, DetectionSet, box_stats, generate_boxes, iou
 from .config import RunConfig, load_config
 from .encoders import (
+    DataError,
     EncoderConfig,
     HighResEncoder,
     LowResEncoder,

@@ -52,6 +52,11 @@ class AssemblyConfig:
     text_first: bool = False  # experimentation flag; canonical order is visual-first
     scorer_hidden: int = 64
 
+    def __post_init__(self):
+        for name in ("model_dim", "vocab_size", "scorer_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TokenSequence:

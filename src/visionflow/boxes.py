@@ -14,7 +14,7 @@ from typing import Protocol
 import numpy as np
 
 from . import rng
-from .encoders import SceneDescriptor, finite_number
+from .encoders import DataError, SceneDescriptor, finite_number, load_json
 
 COCO80_LABELS = (
     "person", "bicycle", "car", "motorcycle", "airplane", "bus", "train", "truck",
@@ -33,15 +33,6 @@ COCO80_LABELS = (
 
 HISTOGRAM_BINS = ((0, 0, "0"), (1, 10, "1-10"), (11, 20, "11-20"),
                   (21, 30, "21-30"), (31, 50, "31-50"), (51, None, ">50"))
-
-
-class PipelineError(RuntimeError):
-    """A box-pipeline stage failed; carries the stage name."""
-
-    def __init__(self, stage: str, cause: str):
-        super().__init__(f"box pipeline failed at stage {stage!r}: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -78,21 +69,21 @@ class Detection:
 
     @classmethod
     def from_dict(cls, obj: dict, name: str) -> Detection:
-        """Validate one box-file entry; a ValueError names the bad field under ``name``."""
+        """Validate one box-file entry; a DataError names the bad field under ``name``."""
         if not isinstance(obj, dict):
-            raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
+            raise DataError(f"{name} must be a JSON object, got {type(obj).__name__}")
         box, score, label = obj.get("box"), obj.get("score"), obj.get("label")
         if not isinstance(box, list) or len(box) != 4:
-            raise ValueError(f"{name}.box must be a list of 4 numbers, got {box!r}")
+            raise DataError(f"{name}.box must be a list of 4 numbers, got {box!r}")
         where = name + ".box value"
         coords = [finite_number(v, where) for v in box]
         score = finite_number(score, name + ".score")
         if not isinstance(label, str) or not label:
-            raise ValueError(f"{name}.label must be a non-empty string, got {label!r}")
+            raise DataError(f"{name}.label must be a non-empty string, got {label!r}")
         try:
             return cls(*coords, score, label)
         except ValueError as exc:  # a degenerate box or a score outside [0, 1]
-            raise ValueError(f"{name}: {exc}") from None
+            raise DataError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -109,12 +100,12 @@ class DetectionSet:
     @classmethod
     def from_dict(cls, obj: dict) -> DetectionSet:
         if not isinstance(obj, dict):
-            raise ValueError(f"a box set must be a JSON object, got {type(obj).__name__}")
+            raise DataError(f"a box set must be a JSON object, got {type(obj).__name__}")
         image_id, detections = obj.get("image_id"), obj.get("detections")
         if not isinstance(image_id, str) or not image_id:
-            raise ValueError(f"box set image_id must be a non-empty string, got {image_id!r}")
+            raise DataError(f"box set image_id must be a non-empty string, got {image_id!r}")
         if not isinstance(detections, list):
-            raise ValueError(f"box set detections must be a list, got {type(detections).__name__}")
+            raise DataError(f"box set detections must be a list, got {type(detections).__name__}")
         return cls(image_id, [Detection.from_dict(d, f"detections[{n}]") for n, d in enumerate(detections)])
 
 
@@ -199,9 +190,11 @@ class FileTags:
     """Labels read from a JSON file: either a list or {"tags": [...]}."""
 
     def __init__(self, path: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        self.labels = list(obj["tags"] if isinstance(obj, dict) else obj)
+        obj = load_json(path)
+        labels = obj.get("tags") if isinstance(obj, dict) else obj
+        if not isinstance(labels, list):
+            raise DataError(f"tag file {path}: tags must be a list, got {type(labels).__name__}")
+        self.labels = labels
 
     def tags_for(self, scene: SceneDescriptor) -> list[str]:
         return _dedup(self.labels)
@@ -226,7 +219,7 @@ def make_tag_source(spec: str) -> TagSource:
         return FixedTags()
     if spec.startswith("file:"):
         return FileTags(spec[len("file:"):])
-    raise ValueError(f"unknown tag source {spec!r}")
+    raise DataError(f"unknown tag source {spec!r}")
 
 
 # -- detectors -----------------------------------------------------------------
@@ -281,7 +274,7 @@ class FileDetector:
     def detect(self, scene: SceneDescriptor, labels: list[str]) -> list[Detection]:
         entry = self.sets.get(scene.image_id)
         if entry is None:
-            raise KeyError(f"no detections on file for image {scene.image_id!r}")
+            raise DataError(f"no detections on file for image {scene.image_id!r}")
         wanted = set(labels)
         return [d for d in entry.detections if d.label in wanted]
 
@@ -296,6 +289,12 @@ class BoxPipelineConfig:
     max_boxes: int = 100
     class_aware: bool = True
 
+    def __post_init__(self):
+        if not 0.0 < self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must lie in (0, 1], got {self.nms_iou}")
+        if self.max_boxes < 0:
+            raise ValueError(f"max_boxes must be nonnegative, got {self.max_boxes}")
+
 
 def generate_boxes(
     scene: SceneDescriptor,
@@ -304,16 +303,10 @@ def generate_boxes(
     cfg: BoxPipelineConfig = BoxPipelineConfig(),
 ) -> DetectionSet:
     """tag -> detect -> clip -> score filter -> NMS -> cap, score-descending."""
-    try:
-        labels = tags.tags_for(scene)
-    except Exception as exc:  # noqa: BLE001 - stage name must reach the caller
-        raise PipelineError("tag", str(exc)) from exc
+    labels = tags.tags_for(scene)
     if not labels:
         return DetectionSet(scene.image_id, [])
-    try:
-        proposals = detector.detect(scene, labels)
-    except Exception as exc:  # noqa: BLE001
-        raise PipelineError("detect", str(exc)) from exc
+    proposals = detector.detect(scene, labels)
     clipped = [c for d in proposals if (c := d.clipped(scene.width, scene.height)) is not None]
     scored = [d for d in clipped if d.score >= cfg.score_floor]
     keep = nms_indices(scored, cfg.nms_iou, cfg.class_aware)
@@ -338,8 +331,7 @@ def box_stats(corpus: list[DetectionSet]) -> dict[str, int]:
 
 def load_box_file(path: str) -> list[DetectionSet]:
     """Load one box JSON file: a single set or a list of sets."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(path)
     entries = obj if isinstance(obj, list) else [obj]
     return [DetectionSet.from_dict(e) for e in entries]
 

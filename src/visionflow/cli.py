@@ -1,7 +1,10 @@
 """Command-line entry point: infer, train, verify, stats, gen-data.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
-Config precedence is flags > config file > defaults.
+A data error is a ``DataError`` (malformed input, named by field), a file
+that cannot be read, or malformed JSON or UTF-8; a bad flag value is a usage
+error. Anything else is a bug and ends in a traceback. Config precedence is
+flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -10,20 +13,20 @@ import argparse
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 
-from .boxes import PipelineError, box_stats, load_box_file
-from .config import ConfigError, RunConfig, load_config
+from .boxes import box_stats, load_box_file
+from .config import RunConfig, load_config
 from .datagen import (
-    DatasetError,
     generate_dataset,
     generate_video_descriptor,
     load_dataset,
     save_dataset,
     small_training_config,
 )
-from .encoders import SceneDescriptor, generate_scene
+from .encoders import LABEL_POOL, DataError, SceneDescriptor, generate_scene, load_json
 from .pipeline import build_components, prepare_sample, run_image, run_video
 from .training import (
     checkpoint_hash,
@@ -60,12 +63,12 @@ def _parse_ids(text: str | None) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer in ``[low, high]``."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {value}")
         return value
 
     parse.__name__ = "integer"
@@ -96,7 +99,7 @@ def _config_from_args(args, base: dict | None = None) -> RunConfig:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON (or past the decoder's limits): the raw string
             value = raw
         overrides[key] = value
     return load_config(getattr(args, "config", None), overrides, base=base)
@@ -117,11 +120,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--input", help="scene or video descriptor JSON file")
     p.add_argument("--scene-seed", type=int, help="generate a scene instead of reading one")
-    p.add_argument("--scene-objects", type=_int_at_least(0), default=3)
+    p.add_argument("--scene-objects", type=_int_in(0, len(LABEL_POOL)), default=3)
     p.add_argument("--boxes-file", help="ingest detections from a box JSON file")
     p.add_argument("--text-ids", help="comma-separated prompt token ids")
     p.add_argument("--answer-ids", help="comma-separated answer ids to score")
-    p.add_argument("--decode", type=_int_at_least(0), default=0, help="greedy-decode N tokens")
+    p.add_argument("--decode", type=_int_in(0), default=0, help="greedy-decode N tokens")
     p.add_argument("--checkpoint", help="load trained parameters from this directory")
     p.add_argument("--nms-iou", type=float)
     p.add_argument("--score-floor", type=float)
@@ -130,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tags", help="synthetic | coco80 | file:PATH")
     p.add_argument("--fusion-strategy")
     p.add_argument("--merge")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
+    p.add_argument("--threads", type=_int_in(1), default=1,
                    help="parallel per-frame encoding for video inputs")
     p.add_argument("--out", help="write the report JSON here (default stdout)")
 
@@ -157,9 +160,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic training dataset or video")
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=32)
+    p.add_argument("--samples", type=_int_in(1), default=32)
     p.add_argument("--video", action="store_true", help="emit a video descriptor instead")
-    p.add_argument("--frames", type=_int_at_least(1), default=8)
+    p.add_argument("--frames", type=_int_in(1), default=8)
     p.add_argument("--small-config", action="store_true",
                    help="use the bundled desk-scale training config")
     return parser
@@ -182,22 +185,26 @@ def cmd_infer(args) -> int:
     if answer_ids == []:
         raise UsageError("--answer-ids is empty; omit the flag to score nothing")
     cfg = _config_from_args(args)
+    vocab = cfg.assembly.vocab_size
+    for flag, ids in (("--text-ids", text_ids), ("--answer-ids", answer_ids or [])):
+        if not all(0 <= v < vocab for v in ids):
+            raise UsageError(f"{flag} {ids} must lie in [0, {vocab}), the vocabulary")
     components = build_components(cfg)
     if args.checkpoint:
         manifest, state = load_checkpoint_state(args.checkpoint)
         if manifest.get("config_hash") != cfg.config_hash():
-            raise ValueError(f"checkpoint config_hash {manifest.get('config_hash')!r} != this run's "
-                             f"{cfg.config_hash()!r}; infer with the config it was trained with")
+            raise DataError(f"checkpoint config_hash {manifest.get('config_hash')!r} != this run's "
+                            f"{cfg.config_hash()!r}; infer with the config it was trained with")
         restore_model(components.model, state)
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = load_json(args.input)
         if isinstance(payload, dict) and "frames" in payload:
             if args.boxes_file:
                 raise UsageError("--boxes-file applies to single images, but --input names a video")
-            if not isinstance(payload["frames"], list):
-                raise ValueError(f"video 'frames' must be a list, got {type(payload['frames']).__name__}")
-            frames = [SceneDescriptor.from_dict(f) for f in payload["frames"]]
+            frames = payload["frames"]
+            if not isinstance(frames, list) or not frames:
+                raise DataError(f"video 'frames' must be a list of at least one scene, got {frames!r:.40}")
+            frames = [SceneDescriptor.from_dict(f) for f in frames]
             report = run_video(cfg, frames, text_ids, answer_ids, args.decode, components,
                                threads=args.threads)
         else:
@@ -217,6 +224,11 @@ def cmd_train(args) -> int:
     base = small_training_config(args.seed or 0).to_dict() if args.small_config else None
     cfg = _config_from_args(args, base=base)
     raw = load_dataset(args.dataset)
+    vocab = cfg.assembly.vocab_size
+    for i, sample in enumerate(raw):
+        for key, ids in (("text_ids", sample.text_ids), ("answer_ids", sample.answer_ids)):
+            if not all(0 <= v < vocab for v in ids):
+                raise DataError(f"{args.dataset}: samples[{i}].{key} {ids} must lie in [0, {vocab}), the vocabulary")
     components = build_components(cfg)
     prepared = [prepare_sample(components, s.scene, s.text_ids, s.answer_ids) for s in raw]
     model = components.model
@@ -327,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, DatasetError, ConfigError,
-            PipelineError, KeyError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

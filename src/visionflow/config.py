@@ -16,14 +16,10 @@ from enum import Enum
 
 from .assembly import AssemblyConfig
 from .boxes import BoxPipelineConfig
-from .encoders import EncoderConfig
+from .encoders import DataError, EncoderConfig, finite_number, load_json
 from .fusion import FusionConfig
 from .roi import RoiConfig
 from .training import TrainConfig
-
-
-class ConfigError(ValueError):
-    """A configuration value or combination is invalid."""
 
 
 @dataclass(frozen=True)
@@ -43,17 +39,15 @@ class RunConfig:
         if self.encoder.seed != self.seed:
             object.__setattr__(self, "encoder", dataclasses.replace(self.encoder, seed=self.seed))
         if self.fusion.channels_low != self.encoder.channels_low:
-            raise ConfigError(
+            raise ValueError(
                 f"fusion.channels_low {self.fusion.channels_low} != encoder.channels_low {self.encoder.channels_low}"
             )
         if self.fusion.channels_high != self.encoder.channels_high:
-            raise ConfigError(
+            raise ValueError(
                 f"fusion.channels_high {self.fusion.channels_high} != encoder.channels_high {self.encoder.channels_high}"
             )
-        if self.boxes.max_boxes < 0:
-            raise ConfigError(f"boxes.max_boxes must be nonnegative, got {self.boxes.max_boxes}")
         if self.video_frames <= 0:
-            raise ConfigError(f"video_frames must be positive, got {self.video_frames}")
+            raise ValueError(f"video_frames must be positive, got {self.video_frames}")
 
     @property
     def object_channels(self) -> int:
@@ -76,20 +70,36 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _typed(default, value, name: str):
+    """``value`` checked against the type of the field default ``default``: bools
+    and ints must be JSON bools and integers, floats any finite number, tuples
+    are checked element by element and enums by value. A DataError names ``name``."""
+    if isinstance(default, Enum):
+        values = [m.value for m in type(default)]
+        if value not in values:
+            raise DataError(f"{name} must be one of {values}, got {value!r}")
+        return type(default)(value)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise DataError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(default[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if isinstance(default, float):
+        finite_number(value, name)
+    elif type(value) is not type(default):
+        raise DataError(f"{name} must be a JSON {type(default).__name__}, got {value!r}")
+    return value
+
+
 def _build_section(cls, data: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {path!r}")
-    kwargs = dict(data)
-    for f in dataclasses.fields(cls):
-        # enum and tuple fields arrive from JSON as their value and as a list
-        if f.name in kwargs and isinstance(f.default, (Enum, tuple)):
-            kwargs[f.name] = type(f.default)(kwargs[f.name])
+        raise DataError(f"unknown key(s) {sorted(unknown)} in config section {path!r}")
+    kwargs = {key: _typed(defaults[key], value, f"{path}.{key}") for key, value in data.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config section {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"invalid config section {path!r}: {exc}") from exc
 
 
 _SECTIONS = {
@@ -106,24 +116,24 @@ def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
     kwargs = {}
     # the root seed propagates into the encoder section unless given there
-    seed = int(data.pop("seed", 0))
+    seed = _typed(RunConfig.seed, data.pop("seed", 0), "seed")
     kwargs["seed"] = seed
     for name, cls in _SECTIONS.items():
-        section = dict(data.pop(name, {}))
+        section = data.pop(name, {})
+        if not isinstance(section, dict):
+            raise DataError(f"config section {name!r} must be a JSON object, got {section!r}")
         if name == "encoder":
-            section.setdefault("seed", seed)
+            section = {"seed": seed, **section}
         kwargs[name] = _build_section(cls, section, name)
     for scalar in ("tags", "video_frames"):
         if scalar in data:
-            kwargs[scalar] = data.pop(scalar)
+            kwargs[scalar] = _typed(getattr(RunConfig, scalar), data.pop(scalar), scalar)
     if data:
-        raise ConfigError(f"unknown top-level config key(s): {sorted(data)}")
+        raise DataError(f"unknown top-level config key(s): {sorted(data)}")
     try:
         return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _merge_section_wise(base: dict, extra: dict) -> dict:
@@ -146,10 +156,9 @@ def load_config(path: str | None = None, overrides: dict | None = None,
     """
     data: dict = {k: (dict(v) if isinstance(v, dict) else v) for k, v in (base or {}).items()}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            file_data = json.load(fh)
+        file_data = load_json(path)
         if not isinstance(file_data, dict):
-            raise ConfigError(f"config file {path!r} must hold a JSON object")
+            raise DataError(f"config file {path!r} must hold a JSON object")
         data = _merge_section_wise(data, file_data)
     for key, value in (overrides or {}).items():
         if value is None:
@@ -158,7 +167,7 @@ def load_config(path: str | None = None, overrides: dict | None = None,
             section, leaf = key.split(".", 1)
             data.setdefault(section, {})
             if not isinstance(data[section], dict):
-                raise ConfigError(f"cannot override scalar config key {section!r} with {key!r}")
+                raise DataError(f"cannot override scalar config key {section!r} with {key!r}")
             data[section][leaf] = value
         else:
             data[key] = value

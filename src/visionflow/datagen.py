@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import rng
 from .config import RunConfig, config_from_dict
-from .encoders import SceneDescriptor, generate_scene
+from .encoders import DataError, SceneDescriptor, generate_scene, load_json
 
 DATASET_FORMAT = "visionflow-dataset-v1"
 
@@ -61,31 +61,30 @@ def save_dataset(samples: list[RawSample], path: str, seed: int) -> None:
         json.dump(payload, fh, indent=2)
 
 
-class DatasetError(ValueError):
-    """Dataset file missing fields or malformed entries."""
-
-
 def load_dataset(path: str) -> list[RawSample]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
-        raise DatasetError(f"{path}: not a {DATASET_FORMAT} file")
+        raise DataError(f"{path}: not a {DATASET_FORMAT} file")
     entries = payload.get("samples", [])
     if not isinstance(entries, list):
-        raise DatasetError(f"{path}: samples must be a list, got {type(entries).__name__}")
+        raise DataError(f"{path}: samples must be a list, got {type(entries).__name__}")
     samples = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: samples[{i}] must be a JSON object, got {type(entry).__name__}")
         try:
-            scene = SceneDescriptor.from_dict(entry["scene"])
-            ids = [entry["text_ids"], entry["answer_ids"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}: sample {i} is malformed: {exc}") from exc
+            scene = SceneDescriptor.from_dict(entry.get("scene"))
+        except DataError as exc:
+            raise DataError(f"{path}: sample {i} is malformed: {exc}") from exc
+        ids = [entry.get("text_ids"), entry.get("answer_ids")]
         for key, value in zip(("text_ids", "answer_ids"), ids):
             if not isinstance(value, list) or any(type(v) is not int for v in value):
-                raise DatasetError(f"{path}: samples[{i}].{key} must be a list of integers, got {value!r}")
+                raise DataError(f"{path}: samples[{i}].{key} must be a list of integers, got {value!r}")
+        if not ids[1]:
+            raise DataError(f"{path}: samples[{i}].answer_ids is empty")
         samples.append(RawSample(scene, *ids))
     if not samples:
-        raise DatasetError(f"{path}: dataset holds no samples")
+        raise DataError(f"{path}: dataset holds no samples")
     return samples
 
 

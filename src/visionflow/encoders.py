@@ -31,10 +31,6 @@ LABEL_POOL = (
 )
 
 
-class EncoderConfigError(ValueError):
-    """An encoder configuration violates a structural constraint."""
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     """Resolutions, strides and channel widths for the two vision branches."""
@@ -49,31 +45,34 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.low_res <= 0 or self.high_res <= 0:
-            raise EncoderConfigError("resolutions must be positive")
+        for name in ("low_res", "high_res", "stride_low", "channels_low", "channels_high"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(c < 1 for c in self.stage_channels):
+            raise ValueError(f"stage_channels must all be >= 1, got {list(self.stage_channels)}")
         deepest = math.prod(HighResEncoder.STAGE_FACTORS)
         if self.stride_high != deepest:
-            raise EncoderConfigError(f"stride_high {self.stride_high} != {deepest}, the deepest stage stride")
+            raise ValueError(f"stride_high {self.stride_high} != {deepest}, the deepest stage stride")
         if self.low_res % self.stride_low != 0:
-            raise EncoderConfigError(
+            raise ValueError(
                 f"low_res {self.low_res} not divisible by stride {self.stride_low}"
             )
         if self.high_res % self.stride_high != 0:
-            raise EncoderConfigError(
+            raise ValueError(
                 f"high_res {self.high_res} not divisible by stride {self.stride_high}"
             )
         low_side = self.low_res // self.stride_low
         high_side = self.high_res // self.stride_high
         if low_side != high_side:
-            raise EncoderConfigError(
+            raise ValueError(
                 "token-count equality violated: "
                 f"(low_res/{self.stride_low})^2 = {low_side ** 2} but "
                 f"(high_res/{self.stride_high})^2 = {high_side ** 2}"
             )
         if len(self.stage_channels) != 4:
-            raise EncoderConfigError("high-res encoder has exactly four stages")
+            raise ValueError("high-res encoder has exactly four stages")
         if self.stage_channels[-1] != self.channels_high:
-            raise EncoderConfigError(
+            raise ValueError(
                 f"final stage width {self.stage_channels[-1]} must equal channels_high {self.channels_high}"
             )
 
@@ -220,37 +219,59 @@ class SceneDescriptor:
     @classmethod
     def from_dict(cls, obj: dict) -> SceneDescriptor:
         if not isinstance(obj, dict):
-            raise ValueError(f"a scene must be a JSON object, got {type(obj).__name__}")
+            raise DataError(f"a scene must be a JSON object, got {type(obj).__name__}")
         if not isinstance(obj.get("objects", []), list):
-            raise ValueError(f"scene objects must be a list, got {type(obj['objects']).__name__}")
+            raise DataError(f"scene objects must be a list, got {type(obj['objects']).__name__}")
         objects = []
         for n, o in enumerate(obj.get("objects", [])):
             if not isinstance(o, dict):
-                raise ValueError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
+                raise DataError(f"scene objects[{n}] must be a JSON object, got {type(o).__name__}")
             coords = [finite_number(o.get(k), f"scene objects[{n}].{k}") for k in ("x0", "y0", "x1", "y1")]
+            if not (coords[0] < coords[2] and coords[1] < coords[3]):
+                raise DataError(f"scene objects[{n}] must have x0 < x1 and y0 < y1, got {coords}")
             label = o.get("label")
             if not isinstance(label, str) or not label:
-                raise ValueError(f"scene objects[{n}].label must be a non-empty string, got {label!r}")
+                raise DataError(f"scene objects[{n}].label must be a non-empty string, got {label!r}")
             objects.append(ObjectSpec(*coords, label))
         extent = {}
         for key in ("height", "width"):
             value = finite_number(obj.get(key, 256), f"scene {key}")
             if not (0 < value <= MAX_SCENE_SIDE and value == int(value)):
-                raise ValueError(f"scene {key} must be an integer in [1, {MAX_SCENE_SIDE}], got {value}")
+                raise DataError(f"scene {key} must be an integer in [1, {MAX_SCENE_SIDE}], got {value}")
             extent[key] = int(value)
         seed = obj.get("seed")
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ValueError(f"scene seed must be an integer, got {seed!r}")
+            raise DataError(f"scene seed must be an integer, got {seed!r}")
         return cls(seed=int(seed), objects=tuple(objects), **extent)
+
+
+class DataError(ValueError):
+    """Input from outside the program (a scene, box, tag, dataset, checkpoint or
+    config file, or a config value) is malformed; the message names the field."""
 
 
 def finite_number(value, name: str) -> float:
     """``value`` as a float if it is a JSON number within the float range, else a
-    ValueError naming the field; bools, NaN, infinities and integers too large
-    for a float are not numbers here. Scene and box files share this check."""
+    DataError naming the field; bools, NaN, infinities and integers too large
+    for a float are not numbers here. Scene files, box files and config floats
+    share this check."""
     if (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    raise DataError(f"{name} must be a finite number, got {value!r}")
+
+
+def load_json(path: str):
+    """The JSON document in file ``path``. An integer past Python's digit limit or
+    nesting past the decoder's recursion limit is a DataError; other malformed
+    JSON stays a json.JSONDecodeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _boxes_overlap(a: ObjectSpec, b: ObjectSpec) -> float:
@@ -297,8 +318,9 @@ def render_scene(desc: SceneDescriptor) -> np.ndarray:
     gen = rng.stream(desc.seed, "scene.render")
     canvas = 0.15 * gen.random((desc.height, desc.width, 3))
     for obj in desc.objects:
-        x0, y0 = int(round(obj.x0)), int(round(obj.y0))
-        x1, y1 = int(round(obj.x1)), int(round(obj.y1))
+        # an object may extend past the image; only its visible part is drawn
+        x0, y0 = max(int(round(obj.x0)), 0), max(int(round(obj.y0)), 0)
+        x1, y1 = min(int(round(obj.x1)), desc.width), min(int(round(obj.y1)), desc.height)
         color = _label_color(obj.label)
         canvas[y0:y1, x0:x1] = color + 0.05 * gen.random((max(0, y1 - y0), max(0, x1 - x0), 3))
     return np.clip(canvas, 0.0, 1.0)

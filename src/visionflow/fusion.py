@@ -39,6 +39,12 @@ class FusionConfig:
     conv_kernel: int = 1  # pointwise by default; 3 widens the receptive field
     gate_per_channel: bool = True  # False collapses the gate to one scalar per token
 
+    def __post_init__(self):
+        if self.gate_channels < 1:
+            raise ValueError(f"gate_channels must be >= 1, got {self.gate_channels}")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+            raise ValueError(f"conv_kernel must be a positive odd number, got {self.conv_kernel}")
+
 
 @dataclass
 class CrossAttentionParams(Params):

@@ -20,10 +20,13 @@ import numpy as np
 
 from . import sampling
 from .boxes import Detection, DetectionSet
+from .encoders import DataError
 
 
-class DegenerateBoxError(ValueError):
-    """A box has zero area after clipping to the image."""
+class DegenerateBoxError(DataError):
+    """A box has zero area after clipping to the grid. In the pipeline every box
+    comes from a scene or box file, so this marks malformed input: a sliver
+    narrower than the grid's float resolution."""
 
     def __init__(self, box: Detection, box_index: int | None = None):
         where = f" (box {box_index})" if box_index is not None else ""
@@ -79,6 +82,12 @@ def build_pyramid(stages: list[np.ndarray], image_height: int | None = None,
 class RoiConfig:
     bins: tuple[int, int] = (7, 7)
     samples_per_bin: int = 2
+
+    def __post_init__(self):
+        if len(self.bins) != 2 or min(self.bins) < 1:
+            raise ValueError(f"bins must be two integers >= 1, got {list(self.bins)}")
+        if self.samples_per_bin < 1:
+            raise ValueError(f"samples_per_bin must be >= 1, got {self.samples_per_bin}")
 
 
 def _clip_box_to_grid(pyramid: MultiScalePyramid, box: Detection,

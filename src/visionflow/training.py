@@ -27,6 +27,7 @@ from .assembly import (
     assemble,
     score_answer,
 )
+from .encoders import DataError, load_json
 from .fusion import CrossAttentionParams, FusionConfig, FusionParams, fuse, fused_width
 from .tensor import Tensor
 
@@ -163,6 +164,11 @@ class TrainConfig:
     lr_stage1: float = 3e-3
     lr_stage2: float = 3e-3
 
+    def __post_init__(self):
+        for name, low in (("stage1_steps", 0), ("stage2_steps", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 def sample_loss(model: ModelParams, sample: PreparedSample, merge: MergeMethod,
                 text_first: bool = False) -> Tensor:
@@ -265,22 +271,22 @@ def _is_int(value) -> bool:
 
 
 def _check_manifest_tensors(tensors) -> None:
-    """Raise ValueError naming the first malformed field of the tensor list."""
+    """Raise DataError naming the first malformed field of the tensor list."""
     if not isinstance(tensors, list):
-        raise ValueError(f"checkpoint manifest 'tensors' must be a list, got {type(tensors).__name__}")
+        raise DataError(f"checkpoint manifest 'tensors' must be a list, got {type(tensors).__name__}")
     for n, entry in enumerate(tensors):
         if not isinstance(entry, dict):
-            raise ValueError(f"checkpoint manifest tensors[{n}] must be an object, got {type(entry).__name__}")
+            raise DataError(f"checkpoint manifest tensors[{n}] must be an object, got {type(entry).__name__}")
         name = entry.get("name")
         if not isinstance(name, str):
-            raise ValueError(f"checkpoint manifest tensors[{n}] 'name' must be a string, got {name!r}")
+            raise DataError(f"checkpoint manifest tensors[{n}] 'name' must be a string, got {name!r}")
         shape = entry.get("shape")
         if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
-            raise ValueError(f"checkpoint tensor {name!r}: 'shape' must be a list of non-negative ints, "
+            raise DataError(f"checkpoint tensor {name!r}: 'shape' must be a list of non-negative ints, "
                              f"got {shape!r}")
         for field in ("offset", "nbytes"):
             if not _is_int(entry.get(field)):
-                raise ValueError(f"checkpoint tensor {name!r}: {field!r} must be an int, got {entry.get(field)!r}")
+                raise DataError(f"checkpoint tensor {name!r}: {field!r} must be an int, got {entry.get(field)!r}")
 
 
 def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -290,11 +296,10 @@ def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
     byte count disagrees with its shape or whose bytes run past the end of
     params.bin.
     """
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_json(os.path.join(directory, "manifest.json"))
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
+        raise DataError(f"checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     _check_manifest_tensors(manifest.get("tensors"))
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         raw = fh.read()
@@ -302,9 +307,9 @@ def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
     for entry in manifest["tensors"]:
         name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
         if nbytes != 8 * math.prod(shape):
-            raise ValueError(f"checkpoint tensor {name!r}: nbytes {nbytes} != 8 x {shape}")
+            raise DataError(f"checkpoint tensor {name!r}: nbytes {nbytes} != 8 x {shape}")
         if offset < 0 or offset + nbytes > len(raw):
-            raise ValueError(f"checkpoint tensor {name!r}: bytes [{offset}, {offset + nbytes}) "
+            raise DataError(f"checkpoint tensor {name!r}: bytes [{offset}, {offset + nbytes}) "
                              f"run past params.bin ({len(raw)} bytes)")
         state[name] = np.frombuffer(raw[offset: offset + nbytes], dtype="<f8").reshape(shape).copy()
     return manifest, state
@@ -314,9 +319,9 @@ def restore_model(model: ModelParams, state: dict[str, np.ndarray]) -> None:
     """Load checkpoint arrays into a structurally matching model."""
     for name, t in model.named_tensors():
         if name not in state:
-            raise KeyError(f"checkpoint missing tensor {name!r}")
+            raise DataError(f"checkpoint missing tensor {name!r}")
         if tuple(state[name].shape) != t.shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {state[name].shape}, expected {t.shape}")
+            raise DataError(f"checkpoint tensor {name!r} has shape {state[name].shape}, expected {t.shape}")
         t.data = state[name]
 
 

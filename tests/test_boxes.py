@@ -16,7 +16,6 @@ from visionflow.boxes import (
     FileDetector,
     FixedTags,
     MockDetector,
-    PipelineError,
     SyntheticTags,
     box_stats,
     generate_boxes,
@@ -172,14 +171,16 @@ def test_generate_boxes_restricted_tags_drop_objects():
     assert dropped > 0
 
 
-def test_generate_boxes_detector_failure_names_stage():
+def test_generate_boxes_lets_a_detector_error_through_unchanged():
+    failure = RuntimeError("socket closed")
+
     class Broken:
         def detect(self, scene, labels):
-            raise RuntimeError("socket closed")
+            raise failure
 
-    with pytest.raises(PipelineError, match="stage 'detect'") as err:
+    with pytest.raises(RuntimeError) as err:
         generate_boxes(generate_scene(0, n_objects=1), SyntheticTags(), Broken())
-    assert err.value.stage == "detect"
+    assert err.value is failure
 
 
 def test_box_stats_bins():

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, flag precedence, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -337,6 +338,10 @@ def test_video_input_with_boxes_file_is_a_usage_error(tmp_path, capsys):
     (["--text-ids", ""], "--text-ids"),
     (["--answer-ids", " "], "--answer-ids"),
     (["--scene-objects", "-1"], "--scene-objects"),
+    (["--scene-objects", "17"], "--scene-objects"),
+    (["--text-ids", "1,13"], "--text-ids"),
+    (["--answer-ids", "4,-1"], "--answer-ids"),
+    (["--set", "assembly.vocab_size=1"], "--text-ids"),
 ])
 def test_out_of_range_infer_flags_are_usage_errors(flags, named, capsys):
     assert main(["infer", *TINY, "--scene-seed", "5", *flags]) == EXIT_USAGE
@@ -347,6 +352,8 @@ def test_out_of_range_infer_flags_are_usage_errors(flags, named, capsys):
     (lambda d: d["objects"][0].update(x0=float("nan")), "objects[0].x0"),
     (lambda d: d.update(height=-16), "height"),
     (lambda d: d.update(width=100_000), "width"),
+    (lambda d: d["objects"][0].update(x1=d["objects"][0]["x0"]), "objects[0] must have x0 < x1"),
+    (lambda d: d["objects"][1].update(y0=d["objects"][1]["y1"] + 1), "objects[1] must have x0 < x1 and y0 < y1"),
 ])
 def test_invalid_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys, edit, field):
     scene = generate_scene(9, n_objects=2).to_dict()
@@ -424,6 +431,17 @@ def test_data_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"encoder": {"low_res": 224, "high_res": 448}}))
     assert main(["infer", "--config", str(cfg), "--scene-seed", "1"]) == EXIT_DATA
+    # a directory, a tag file without a tags list, a video without frames
+    assert main(["infer", *TINY, "--input", str(tmp_path)]) == EXIT_DATA
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps({"labels": ["cat"]}))
+    capsys.readouterr()
+    assert main(["infer", *TINY, "--scene-seed", "5", "--tags", f"file:{tags}"]) == EXIT_DATA
+    assert "tags must be a list" in capsys.readouterr().err
+    video = tmp_path / "video.json"
+    video.write_text(json.dumps({"frames": []}))
+    assert main(["infer", *TINY, "--input", str(video)]) == EXIT_DATA
+    assert "'frames' must be a list of at least one scene" in capsys.readouterr().err
 
 
 def test_infer_boxes_file_for_wrong_image_exits_data(tmp_path, capsys):
@@ -470,3 +488,92 @@ def test_malformed_boxes_file_exits_data_naming_the_field(tmp_path, capsys, edit
     path.write_text(json.dumps(entry))
     assert main(["infer", *TINY, "--scene-seed", "5", "--boxes-file", str(path)]) == EXIT_DATA
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--merge", "foo"], "assembly.merge"),
+    (["--fusion-strategy", "foo"], "fusion.strategy"),
+    (["--set", "fusion.strategy=[1]"], "fusion.strategy"),
+    (["--set", "boxes.nms_iou=2"], "nms_iou"),
+    (["--nms-iou", "0"], "nms_iou"),
+    (["--set", "fusion.conv_kernel=2"], "conv_kernel"),
+    (["--set", "fusion.gate_channels=0"], "gate_channels"),
+    (["--set", 'seed="a"'], "seed"),
+    (["--set", "seed=1.5"], "seed"),
+    (["--set", "seed=" + "1" * 5000], "seed"),
+    (["--set", "roi.samples_per_bin=0"], "samples_per_bin"),
+    (["--set", "roi.bins=[0,2]"], "bins"),
+    (["--set", "roi.bins=[2]"], "bins"),
+    (["--set", "assembly.model_dim=0"], "model_dim"),
+    (["--set", "encoder.stride_low=0"], "stride_low"),
+    (["--set", "train.batch_size=0"], "batch_size"),
+    (["--set", "train.stage2_steps=-1"], "stage2_steps"),
+    (["--set", "train.lr_stage1=nan"], "train.lr_stage1"),
+    (["--set", "train.lr_stage1=NaN"], "train.lr_stage1"),
+    (["--set", "boxes=5"], "'boxes'"),
+    (["--set", 'encoder.stage_channels=["a",2,3,48]'], "encoder.stage_channels[0]"),
+    (["--set", 'video_frames="x"'], "video_frames"),
+    (["--set", "tags=5"], "tags"),
+    (["--set", "boxes.class_aware=1"], "boxes.class_aware"),
+    (["--set", "boxes.max_boxes=true"], "boxes.max_boxes"),
+], ids=["merge_flag", "strategy_flag", "strategy_list", "nms_iou_above_one", "nms_iou_flag_zero",
+        "even_conv_kernel", "zero_gate_channels", "seed_string", "seed_fractional", "seed_past_the_digit_limit",
+        "zero_samples_per_bin",
+        "zero_bin", "one_bin_axis", "zero_model_dim", "zero_stride_low", "zero_batch_size",
+        "negative_steps", "lr_string", "lr_nan", "section_not_an_object", "stage_channel_string",
+        "video_frames_string", "tags_number", "bool_as_int", "int_as_bool"])
+def test_malformed_config_value_exits_data_naming_the_field(flags, field, capsys):
+    assert main(["infer", "--scene-seed", "5", *flags]) == EXIT_DATA
+    assert field in capsys.readouterr().err
+
+
+def test_an_internal_value_error_is_not_reported_as_a_data_error(monkeypatch):
+    def broken_fuse(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("visionflow.pipeline.fuse", broken_fuse)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["infer", *TINY, "--scene-seed", "5"])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("text_ids", [1, 999]),
+    ("answer_ids", [-1]),
+    ("answer_ids", []),
+], ids=["text_id_past_vocab", "negative_answer_id", "empty_answer"])
+def test_train_rejects_dataset_token_ids_naming_the_sample(tmp_path, capsys, key, value):
+    path = tmp_path / "train.json"
+    assert main(["gen-data", *TINY, "--out", str(path), "--samples", "2", "--seed", "0"]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    payload["samples"][1][key] = value
+    path.write_text(json.dumps(payload))
+    code = main(["train", *TINY, *ONE_STEP, "--dataset", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"samples[1].{key}" in capsys.readouterr().err
+
+
+def test_box_narrower_than_the_grid_resolution_exits_data(tmp_path, capsys):
+    # at a 300 px width the stride-4 grid scale 16/300 is inexact, so a box one
+    # float step wide lands on a single grid coordinate
+    from visionflow.boxes import Detection, DetectionSet, save_box_file
+
+    scene = generate_scene(5, n_objects=1, height=300, width=300)
+    scene_path = tmp_path / "scene.json"
+    save_descriptor(scene, str(scene_path))
+    sliver = Detection(3.1, 10.0, math.nextafter(3.1, 4.0), 50.0, 0.9, scene.objects[0].label)
+    box_path = tmp_path / "boxes.json"
+    save_box_file([DetectionSet(scene.image_id, [sliver])], str(box_path))
+    assert main(["infer", *TINY, "--input", str(scene_path), "--boxes-file", str(box_path)]) == EXIT_DATA
+    assert "zero area" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"seed": ' + "1" * 5000 + "}", "4300 digits"),
+    ("[" * 100_000 + "]" * 100_000, "recursion"),
+], ids=["integer_past_the_digit_limit", "nesting_past_the_recursion_limit"])
+def test_json_the_decoder_cannot_hold_exits_data_naming_the_file(tmp_path, capsys, text, named):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err

@@ -7,9 +7,9 @@ import pytest
 from visionflow import rng, sampling
 from visionflow.encoders import (
     EncoderConfig,
-    EncoderConfigError,
     HighResEncoder,
     LowResEncoder,
+    ObjectSpec,
     SceneDescriptor,
     TextEmbedder,
     generate_scene,
@@ -97,12 +97,12 @@ def test_adjuster_snaps_resolutions():
 
 
 def test_config_rejects_token_inequality_naming_constraint():
-    with pytest.raises(EncoderConfigError, match="token-count equality"):
+    with pytest.raises(ValueError, match="token-count equality"):
         EncoderConfig(low_res=224, high_res=448)
 
 
 def test_config_rejects_indivisible_resolution():
-    with pytest.raises(EncoderConfigError, match="not divisible"):
+    with pytest.raises(ValueError, match="not divisible"):
         EncoderConfig(low_res=100, high_res=768)
 
 
@@ -154,3 +154,12 @@ def test_scene_labels_distinct_and_render_in_range():
     assert img.shape == (scene.height, scene.width, 3)
     assert img.min() >= 0.0 and img.max() <= 1.0
     assert img.tobytes() == render_scene(scene).tobytes()
+
+
+def test_render_draws_only_the_visible_part_of_an_object_past_the_edge():
+    # the object overhangs the top-left corner and the right edge of a 16 x 16 image
+    scene = SceneDescriptor(seed=3, height=16, width=16, objects=(ObjectSpec(-4.0, -6.0, 40.0, 5.0, "cat"),))
+    img = render_scene(scene)
+    assert img.shape == (16, 16, 3)
+    background = render_scene(SceneDescriptor(seed=3, height=16, width=16))
+    assert (img[:5] != background[:5]).all() and (img[5:] == background[5:]).all()

@@ -1,6 +1,7 @@
 """Module layering, read from the import statements: the tensor core stands
 alone, and only the CLI reaches the oracles in ``verify``, so oracle-only code
-cannot creep back into the product modules."""
+cannot creep back into the product modules. No module holds a catch-all
+``except``, so an internal bug cannot be reported as bad input."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,30 @@ def test_tensor_core_imports_no_other_visionflow_module():
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in ("cli", "verify")])
 def test_only_the_cli_imports_verify(module):
     assert "verify" not in package_imports(module)
+
+
+
+def catch_alls(source: str) -> list[int]:
+    """Lines of ``source`` whose except clause is bare or names Exception or BaseException."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+                                    for t in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_catch_all_reader_sees_bare_and_broad_handlers():
+    source = ("try:\n    pass\nexcept:\n    pass\n"
+              "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n"
+              "try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert catch_alls(source) == [3, 7]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_catches_everything(module):
+    # a catch-all reports an internal bug as whatever its handler says
+    assert catch_alls((PACKAGE / f"{module}.py").read_text()) == []

@@ -9,7 +9,8 @@ import pytest
 
 from visionflow import rng
 from visionflow.assembly import MergeMethod
-from visionflow.datagen import DatasetError, generate_dataset, load_dataset, save_dataset, small_training_config
+from visionflow.datagen import generate_dataset, load_dataset, save_dataset, small_training_config
+from visionflow.encoders import DataError
 from visionflow.pipeline import build_components, prepare_sample
 from visionflow.training import (
     Adam,
@@ -130,14 +131,14 @@ def test_load_dataset_rejects_token_ids_that_are_not_integer_lists(tmp_path, key
     payload = json.loads(path.read_text())
     payload["samples"][1][key] = value
     path.write_text(json.dumps(payload))
-    with pytest.raises(DatasetError, match=re.escape(f"samples[1].{key}")):
+    with pytest.raises(DataError, match=re.escape(f"samples[1].{key}")):
         load_dataset(str(path))
 
 
 def test_load_dataset_rejects_samples_that_are_not_a_list(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps({"format": "visionflow-dataset-v1", "samples": 5}))
-    with pytest.raises(DatasetError, match="samples must be a list"):
+    with pytest.raises(DataError, match="samples must be a list"):
         load_dataset(str(path))
 
 
@@ -204,8 +205,6 @@ def test_curve_csv_format():
 
 def test_prepared_pipeline_samples_train(tmp_path):
     # end-to-end: real scenes through the frozen side, then a short fit
-    from visionflow.datagen import DatasetError, generate_dataset, load_dataset, save_dataset, small_training_config
-
     cfg = small_training_config(0)
     comp = build_components(cfg)
     raw = generate_dataset(cfg, n_samples=4)
