@@ -152,7 +152,9 @@ def load_config(path: str | None = None, overrides: dict | None = None,
     """Merge defaults, a base dict, an optional JSON file, and overrides.
 
     Precedence rises left to right. Overrides use dotted keys
-    ("boxes.max_boxes") or the top-level names.
+    ("boxes.max_boxes") or the top-level names, applied in order; a section
+    value merges key by key, as a config file does, so it keeps the keys
+    set before it.
     """
     data: dict = {k: (dict(v) if isinstance(v, dict) else v) for k, v in (base or {}).items()}
     if path is not None:
@@ -170,5 +172,5 @@ def load_config(path: str | None = None, overrides: dict | None = None,
                 raise DataError(f"cannot override scalar config key {section!r} with {key!r}")
             data[section][leaf] = value
         else:
-            data[key] = value
+            data = _merge_section_wise(data, {key: value})
     return config_from_dict(data)

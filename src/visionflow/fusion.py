@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .tensor import Params, ShapeError, Tensor, affine, concat, conv1d
+from .tensor import Params, ShapeError, Tensor, affine, attention, concat, conv1d
 
 
 class FusionStrategy(str, Enum):
@@ -115,11 +115,12 @@ def _check_token_counts(e_low: Tensor, e_high: Tensor) -> None:
         )
 
 
-def conv_gate_fuse(e_low: Tensor, e_high: Tensor, p: FusionParams) -> Tensor:
+def conv_gate_fuse(e_low: Tensor, e_high: Tensor, p: FusionParams,
+                   bounds: tuple[int, ...] | None = None) -> Tensor:
     """Gated residual fusion; output matches the low stream's shape."""
     _check_token_counts(e_low, e_high)
-    low_al = conv1d(e_low, p.conv_low_w, p.conv_low_b)
-    high_al = conv1d(e_high, p.conv_high_w, p.conv_high_b)
+    low_al = conv1d(e_low, p.conv_low_w, p.conv_low_b, bounds)
+    high_al = conv1d(e_high, p.conv_high_w, p.conv_high_b, bounds)
     gate_in = concat([low_al, high_al], axis=1)
     gate = affine(gate_in, p.gate_w, p.gate_b).sigmoid()
     if not p.cfg.gate_per_channel:
@@ -134,33 +135,40 @@ def channel_concat_fuse(e_low: Tensor, e_high: Tensor) -> Tensor:
     return concat([e_low, e_high], axis=1)
 
 
-def cross_attention(query: Tensor, keyvalue: Tensor, p: CrossAttentionParams) -> Tensor:
-    """Single-head scaled dot-product attention, residual on the query stream."""
+def cross_attention(query: Tensor, keyvalue: Tensor, p: CrossAttentionParams,
+                    q_bounds: tuple[int, ...] | None = None,
+                    kv_bounds: tuple[int, ...] | None = None) -> Tensor:
+    """Single-head scaled dot-product attention, residual on the query stream.
+
+    With bounds, both streams pack samples back to back and each sample's
+    queries attend only to its own keys; a sample without keys keeps its
+    query rows as they are."""
     if query.ndim != 2 or keyvalue.ndim != 2:
         raise ShapeError(f"attention expects [A, D] and [B, D], got {query.shape} and {keyvalue.shape}")
     if query.shape[1] != keyvalue.shape[1]:
         raise ShapeError(f"model dims disagree: {query.shape[1]} vs {keyvalue.shape[1]}")
     if keyvalue.shape[0] == 0:
         raise ShapeError("attention over an empty key/value set is undefined")
-    d = query.shape[1]
-    q = query @ p.wq
-    k = keyvalue @ p.wk
-    v = keyvalue @ p.wv
-    weights = ((q @ k.T) * (1.0 / math.sqrt(d))).softmax(axis=-1)
-    return query + weights @ v
+    return query + attention(query @ p.wq, keyvalue @ p.wk, keyvalue @ p.wv, q_bounds, kv_bounds)
 
 
-def fuse(e_low: Tensor, e_high: Tensor, p: FusionParams) -> Tensor:
-    """Dispatch on the configured strategy; token count is always preserved."""
+def fuse(e_low: Tensor, e_high: Tensor, p: FusionParams,
+         bounds: tuple[int, ...] | None = None) -> Tensor:
+    """Dispatch on the configured strategy; token count is always preserved.
+
+    ``bounds`` marks samples packed back to back in both streams (sample i
+    is rows ``bounds[i]..bounds[i+1]-1``; None is one sample). The
+    convolutions pad at every sample edge and the attentions stay within a
+    sample, so no sample reads another's tokens."""
     strategy = p.cfg.strategy
     if strategy is FusionStrategy.CONV_GATE:
-        return conv_gate_fuse(e_low, e_high, p)
+        return conv_gate_fuse(e_low, e_high, p, bounds)
     if strategy is FusionStrategy.CHANNEL_CONCAT:
         return channel_concat_fuse(e_low, e_high)
     _check_token_counts(e_low, e_high)
     high_aligned = e_high @ p.align_w
     if strategy is FusionStrategy.F_TO_B_XATTN:
-        return cross_attention(e_low, high_aligned, p.xattn)
+        return cross_attention(e_low, high_aligned, p.xattn, bounds, bounds)
     if strategy is FusionStrategy.B_TO_F_XATTN:
-        return cross_attention(high_aligned, e_low, p.xattn)
+        return cross_attention(high_aligned, e_low, p.xattn, bounds, bounds)
     raise ValueError(f"unknown fusion strategy {strategy!r}")

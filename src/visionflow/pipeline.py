@@ -186,7 +186,7 @@ def _finish_report(cfg: RunConfig, comp: Components, seq: TokenSequence,
     }
     t0 = time.perf_counter()
     if answer_ids:
-        result["nll"] = score_answer(seq, list(answer_ids), comp.model.scorer).item()
+        result["nll"] = score_answer(seq, [list(answer_ids)], comp.model.scorer).item()
     elif decode > 0:
         result["decoded_ids"] = greedy_decode(seq, comp.model.scorer, decode)
     timings["score"] = time.perf_counter() - t0

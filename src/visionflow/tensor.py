@@ -1,13 +1,23 @@
 """Dense tensors with a fixed differentiable op set and reverse-mode gradients.
 
 The op set: add, neg, mul, sigmoid, tanh, softmax, log_softmax, sum, mean,
-reshape, transpose, narrow, concat, matmul and conv1d, plus three fused
-primitives that each record one tape node with an analytic backward:
-``affine`` (``x @ w + b``), ``gelu`` (tanh approximation) and
-``causal_attention`` (``softmax(q k^T / sqrt(d)) v`` over the keys each
-query may see). ``one_hot`` builds constant rows. Only the trainable side
-(fusion, projectors, merge, scorer) records ops; the frozen encoders and the
-RoI read are plain numpy and enter a graph as constants.
+reshape, transpose, narrow, concat, matmul and conv1d, plus fused primitives
+that each record one tape node with an analytic backward: ``affine``
+(``x @ w + b``), ``gelu`` (tanh approximation), ``causal_attention`` and
+``attention`` (``softmax(q k^T / sqrt(d)) v`` over the keys each query may
+see, causal or not) and ``segment_mean``. ``one_hot`` builds constant rows.
+Only the trainable side (fusion, projectors, merge, scorer) records ops; the
+frozen encoders and the RoI read are plain numpy and enter a graph as
+constants.
+
+Segments. A batch of samples runs as one graph by packing their rows back to
+back. The ops that mix rows take segment bounds ``(0, n0, n0 + n1, ...)``
+(see ``segment_bounds``): ``conv1d`` zero-pads at every segment edge, the
+attentions pair each query segment with its own key segment and compute one
+score block per segment, ``segment_mean`` averages per segment, and
+``concat`` can reorder rows to interleave packed streams. Every other op is
+row-wise, so no segment reads another's rows. With one segment each op
+computes what it computed before segments existed, bit for bit.
 
 Values are row-major float64 numpy arrays (gradient checks demand double
 precision). Tensors are immutable values after construction: ops allocate
@@ -25,6 +35,7 @@ thread, and parallel evaluation needs independent graphs.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -374,8 +385,32 @@ def _expand_reduced(g: np.ndarray, in_shape: tuple[int, ...], axes) -> np.ndarra
 # -- module-level ops ----------------------------------------------------------
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; all other extents must agree."""
+def segment_bounds(lengths: Iterable[int]) -> tuple[int, ...]:
+    """Row offsets ``(0, n0, n0 + n1, ...)`` of segments with these lengths."""
+    return tuple(accumulate(lengths, initial=0))
+
+
+def _check_bounds(bounds: Sequence[int] | None, n: int, what: str) -> tuple[int, ...]:
+    """``bounds``, or ``(0, n)`` when None; they must rise from 0 to n."""
+    if bounds is None:
+        return (0, n)
+    b = tuple(bounds)
+    if len(b) < 2 or b[0] != 0 or b[-1] != n or list(b) != sorted(b):
+        raise ShapeError(f"{what} segment bounds {list(b)} must rise from 0 to {n}")
+    return b
+
+
+def _lengths(bounds: tuple[int, ...]) -> list[int]:
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0, order: Sequence[int] | None = None) -> Tensor:
+    """Concatenate along ``axis``; all other extents must agree.
+
+    With ``order`` (axis 0 only) the op then picks rows: output row i is row
+    ``order[i]`` of the concatenation. No row may be picked twice; rows not
+    picked are dropped. Packed sequences interleave their streams this way.
+    """
     if not tensors:
         raise ShapeError("concat of an empty tensor list")
     ndim = tensors[0].ndim
@@ -385,10 +420,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         other = list(t.shape)
         if len(other) != ndim or any(other[d] != base[d] for d in range(ndim) if d != axis):
             raise ShapeError(f"concat shapes disagree off axis {axis}: {tensors[0].shape} vs {t.shape}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
+    if order is not None and len(tensors) == 1:
+        out_data = tensors[0].data  # only the picked rows get copied
+    else:
+        out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    full_shape = out_data.shape
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+        if axis != 0 or order.ndim != 1:
+            raise ShapeError(f"concat order must be a row index vector on axis 0, got shape {order.shape}")
+        if order.size and (order.min() < 0 or order.max() >= full_shape[0]
+                           or np.bincount(order).max() > 1):
+            raise ShapeError(f"concat order must pick distinct rows of [0, {full_shape[0]})")
+        out_data = out_data[order]
 
     def backward(g):
+        if order is not None:
+            full = np.zeros(full_shape, dtype=g.dtype)
+            full[order] = g
+            g = full
         offset = 0
         for t, ext in zip(tensors, extents):
             if t.requires_grad and ext > 0:
@@ -401,12 +452,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward, "concat")
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, bounds: Sequence[int] | None = None) -> Tensor:
     """Same-padded 1D convolution along the token axis.
 
     ``x`` is [N, C_in], ``w`` is [C_out, C_in, k] with odd k, ``bias`` is
-    [C_out]; output is [N, C_out]. Padding is with zeros on both ends, so
-    kernel size 1 degenerates to a per-token linear map.
+    [C_out]; output is [N, C_out]. ``bounds`` splits the rows into segments
+    (segment i is rows ``bounds[i]..bounds[i+1]-1``; None is one segment).
+    Each segment is zero-padded at both ends, so no output row reads a row of
+    another segment, and kernel size 1 degenerates to a per-token linear map.
     """
     if x.ndim != 2 or w.ndim != 3 or bias.ndim != 1:
         raise ShapeError(f"conv1d expects x[N,Cin], w[Cout,Cin,k], bias[Cout]; got {x.shape}, {w.shape}, {bias.shape}")
@@ -418,30 +471,50 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv1d bias width {bias.shape[0]} != C_out {c_out}")
     if k % 2 == 0:
         raise ShapeError(f"conv1d kernel size must be odd, got {k}")
+    b = _check_bounds(bounds, n, "conv1d")
     pad = k // 2
+    # one buffer gives every segment its own k//2 zero rows on either side:
+    # segment i starts at buffer row starts[i] + pad, acc row c is the window
+    # over buffer rows c..c+k-1, and segment i's outputs are acc rows
+    # starts[i] onwards; without pads the buffer rows are x's rows
+    spans = [(lo + 2 * pad * i, lo, hi - lo) for i, (lo, hi) in enumerate(zip(b, b[1:]))]
+    m = n + 2 * pad * (len(b) - 2)
     x_data, w_data, b_data = x.data, w.data, bias.data
-    xpad = np.zeros((n + 2 * pad, c_in), dtype=x_data.dtype)
-    xpad[pad: pad + n] = x_data
-    acc = np.zeros((n, c_out), dtype=x_data.dtype)
+    xpad = np.zeros((m + 2 * pad, c_in), dtype=x_data.dtype)
+    for start, lo, rows in spans:
+        xpad[start + pad: start + pad + rows] = x_data[lo: lo + rows]
+    acc = np.zeros((m, c_out), dtype=x_data.dtype)
     for j in range(k):
-        acc += xpad[j: j + n] @ w_data[:, :, j].T
-    out_data = acc + b_data
+        acc += xpad[j: j + m] @ w_data[:, :, j].T
+    out_data = _unpadded(acc, spans, 0, pad) + b_data
 
     def backward(g):
+        gacc = g
+        if pad:
+            gacc = np.zeros((m, c_out), dtype=g.dtype)
+            for start, lo, rows in spans:
+                gacc[start: start + rows] = g[lo: lo + rows]
         if x.requires_grad:
-            gpad = np.zeros((n + 2 * pad, c_in), dtype=g.dtype)
+            gpad = np.zeros((m + 2 * pad, c_in), dtype=g.dtype)
             for j in range(k):
-                gpad[j: j + n] += g @ w_data[:, :, j]
-            x._accumulate(gpad[pad: pad + n])
+                gpad[j: j + m] += gacc @ w_data[:, :, j]
+            x._accumulate(_unpadded(gpad, spans, pad, pad))
         if w.requires_grad:
             gw = np.empty_like(w_data)
             for j in range(k):
-                gw[:, :, j] = g.T @ xpad[j: j + n]
+                gw[:, :, j] = gacc.T @ xpad[j: j + m]
             w._accumulate(gw)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
 
     return Tensor._from_op(out_data, (x, w, bias), backward, "conv1d")
+
+
+def _unpadded(buffer: np.ndarray, spans, offset: int, pad: int) -> np.ndarray:
+    """The segments' rows of a conv1d buffer, back to back."""
+    if not pad:
+        return buffer[offset: offset + sum(rows for _, _, rows in spans)]
+    return np.concatenate([buffer[start + offset: start + offset + rows] for start, _, rows in spans])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -481,42 +554,107 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward, "gelu")
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, first: int) -> Tensor:
-    """``softmax(q k^T / sqrt(d)) v`` where query row i sees keys ``0..first + i``.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, firsts: Sequence[int],
+                     q_bounds: Sequence[int] | None = None,
+                     k_bounds: Sequence[int] | None = None) -> Tensor:
+    """``softmax(q k^T / sqrt(d)) v`` where segment s's query row i sees its
+    keys ``0..firsts[s] + i``.
 
-    ``q`` is [L, d], ``k`` is [T, d] and ``v`` is [T, d_v], with
-    ``0 <= first`` and ``first + L <= T``. Later keys get weight exactly zero
-    inside the op; no mask array is added to the scores.
+    ``q`` is [L, d], ``k`` is [T, d] and ``v`` is [T, d_v]. The rows are
+    segments packed back to back (None bounds are one segment): segment s
+    pairs query rows ``q_bounds[s]..q_bounds[s+1]-1`` with key rows
+    ``k_bounds[s]..k_bounds[s+1]-1``, with ``0 <= firsts[s]`` and
+    ``firsts[s] + L_s <= T_s``, and no query sees a key of another segment.
+    Later keys get weight exactly zero inside the op; no mask array is added
+    to the scores. Scores are computed per segment, so they cost the sum of
+    L_s x T_s.
     """
+    return _attention(q, k, v, q_bounds, k_bounds, list(firsts), "causal_attention")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, q_bounds: Sequence[int] | None = None,
+              k_bounds: Sequence[int] | None = None) -> Tensor:
+    """Non-causal ``softmax(q k^T / sqrt(d)) v``: each query sees every key of
+    its segment (segments as in ``causal_attention``). A segment with queries
+    but no keys yields zero rows. With one segment the output equals
+    ``(q @ k.T * scale).softmax() @ v`` from the generic ops bit for bit."""
+    return _attention(q, k, v, q_bounds, k_bounds, None, "attention")
+
+
+def _attention(q: Tensor, k: Tensor, v: Tensor, q_bounds, k_bounds, firsts, op: str) -> Tensor:
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(f"causal_attention expects matrices, got {q.shape}, {k.shape}, {v.shape}")
+        raise ShapeError(f"{op} expects matrices, got {q.shape}, {k.shape}, {v.shape}")
     ell, d = q.shape
     t = k.shape[0]
     if k.shape[1] != d or v.shape[0] != t:
-        raise ShapeError(f"causal_attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    if first < 0 or first + ell > t:
-        raise ShapeError(f"causal_attention rows {first}..{first + ell - 1} exceed {t} keys")
+        raise ShapeError(f"{op} shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    qb = _check_bounds(q_bounds, ell, f"{op} query")
+    kb = _check_bounds(k_bounds, t, f"{op} key")
+    if len(qb) != len(kb):
+        raise ShapeError(f"{op} has {len(qb) - 1} query and {len(kb) - 1} key segments")
+    if firsts is not None:
+        if len(firsts) != len(qb) - 1:
+            raise ShapeError(f"{op} needs one first per segment, got {len(firsts)} for {len(qb) - 1}")
+        for f, n_q, n_k in zip(firsts, _lengths(qb), _lengths(kb)):
+            if f < 0 or f + n_q > n_k:
+                raise ShapeError(f"{op} rows {f}..{f + n_q - 1} exceed {n_k} keys")
     q_data, k_data, v_data = q.data, k.data, v.data
     scale = 1.0 / math.sqrt(d)
-    # a contiguous k^T, as the transpose op made, keeps the scores bit-identical
-    scores = (q_data @ k_data.T.copy()) * scale
-    scores[np.arange(t) > first + np.arange(ell)[:, None]] = -np.inf
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    y = e / np.sum(e, axis=-1, keepdims=True)
-    out_data = y @ v_data
+    out_data = np.zeros((ell, v.shape[1]), dtype=q_data.dtype)
+    blocks = []  # (query rows, key rows, softmax weights) per segment
+    for s in range(len(qb) - 1):
+        rows, keys = slice(qb[s], qb[s + 1]), slice(kb[s], kb[s + 1])
+        if qb[s] == qb[s + 1] or kb[s] == kb[s + 1]:
+            continue
+        # a contiguous k^T, as the transpose op made, keeps the scores bit-identical
+        scores = (q_data[rows] @ k_data[keys].T.copy()) * scale
+        if firsts is not None:
+            n_q, n_k = qb[s + 1] - qb[s], kb[s + 1] - kb[s]
+            scores[np.arange(n_k) > firsts[s] + np.arange(n_q)[:, None]] = -np.inf
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        y = e / np.sum(e, axis=-1, keepdims=True)
+        out_data[rows] = y @ v_data[keys]
+        blocks.append((rows, keys, y))
 
     def backward(g):
-        if v.requires_grad:
-            v._accumulate(y.T @ g)
-        if q.requires_grad or k.requires_grad:
-            gy = g @ v_data.T
-            gs = (y * (gy - np.sum(gy * y, axis=-1, keepdims=True))) * scale
-            if q.requires_grad:
-                q._accumulate(gs @ k_data)
-            if k.requires_grad:
-                k._accumulate(gs.T @ q_data)
+        gq = np.zeros_like(q_data) if q.requires_grad else None
+        gk = np.zeros_like(k_data) if k.requires_grad else None
+        gv = np.zeros_like(v_data) if v.requires_grad else None
+        for rows, keys, y in blocks:
+            g_rows = g[rows]
+            if gv is not None:
+                gv[keys] = y.T @ g_rows
+            if gq is not None or gk is not None:
+                gy = g_rows @ v_data[keys].T
+                gs = (y * (gy - np.sum(gy * y, axis=-1, keepdims=True))) * scale
+                if gq is not None:
+                    gq[rows] = gs @ k_data[keys]
+                if gk is not None:
+                    gk[keys] = gs.T @ q_data[rows]
+        for tensor, grad in ((v, gv), (q, gq), (k, gk)):
+            if grad is not None:
+                tensor._accumulate(grad)
 
-    return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")
+    return Tensor._from_op(out_data, (q, k, v), backward, op)
+
+
+def segment_mean(x: Tensor, bounds: Sequence[int]) -> Tensor:
+    """The mean over segments of each segment's mean, as a scalar: the loss
+    of packed samples that weighs every sample alike, however many rows it
+    has. ``x`` is a vector; segment i is ``x[bounds[i]:bounds[i+1]]`` and may
+    not be empty. One segment gives ``x.mean()`` bit for bit."""
+    if x.ndim != 1:
+        raise ShapeError(f"segment_mean expects a vector, got shape {x.shape}")
+    b = _check_bounds(bounds, x.shape[0], "segment_mean")
+    counts = np.array(_lengths(b))
+    if np.any(counts == 0):
+        raise ShapeError(f"segment_mean segments must not be empty, got bounds {list(b)}")
+    out_data = np.mean(np.array([x.data[b0:b1].mean() for b0, b1 in zip(b[:-1], b[1:])]))
+
+    def backward(g):
+        x._accumulate(np.repeat((g / counts.size) / counts, counts))
+
+    return Tensor._from_op(out_data, (x,), backward, "segment_mean")
 
 
 def one_hot(indices: Iterable[int], depth: int) -> Tensor:

@@ -6,6 +6,12 @@ are never trainable (they live outside the parameter set entirely; the empty
 "encoders" group records that contract). All updates are plain first-order
 Adam steps with a fixed reduction order, so runs are bit-reproducible per
 seed.
+
+A training step builds one graph for its whole batch: ``sample_loss`` packs
+the samples back to back (each stream stacks their rows) and passes the
+per-sample row bounds to every op that mixes rows, so no sample reads
+another's tokens. The batch loss is the mean over samples of each sample's
+mean answer NLL; one sample is the one-element batch of the same path.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from .assembly import (
     MergeMethod,
     ScorerParams,
     ProjectorParams,
+    TokenSequence,
     assemble,
     score_answer,
 )
 from .encoders import DataError, load_json
 from .fusion import CrossAttentionParams, FusionConfig, FusionParams, fuse, fused_width
-from .tensor import Tensor
+from .tensor import Tensor, segment_bounds
 
 GROUP_FUSION = "fusion"
 GROUP_PROJ_F = "proj_F"
@@ -170,21 +177,32 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
-def sample_loss(model: ModelParams, sample: PreparedSample, merge: MergeMethod,
+def packed_sequence(model: ModelParams, samples: list[PreparedSample], merge: MergeMethod,
+                    text_first: bool = False) -> TokenSequence:
+    """The samples' token sequences, packed back to back in one graph."""
+    def stacked(field: str) -> Tensor:
+        return Tensor(np.concatenate([getattr(s, field) for s in samples]))
+
+    sizes = [(s.e_low.shape[0], s.e_objects.shape[0], s.text_emb.shape[0]) for s in samples]
+    e_fused = fuse(stacked("e_low"), stacked("e_high"), model.fusion,
+                   segment_bounds(n for n, _, _ in sizes))
+    return assemble(model.proj_f.apply(e_fused), model.proj_b.apply(stacked("e_objects")),
+                    stacked("text_emb"), merge=merge, merge_params=model.merge,
+                    text_first=text_first, sizes=sizes)
+
+
+def sample_loss(model: ModelParams, samples: list[PreparedSample], merge: MergeMethod,
                 text_first: bool = False) -> Tensor:
-    e_fused = fuse(Tensor(sample.e_low), Tensor(sample.e_high), model.fusion)
-    proj_fused = model.proj_f.apply(e_fused)
-    proj_objects = model.proj_b.apply(Tensor(sample.e_objects))
-    seq = assemble(proj_fused, proj_objects, Tensor(sample.text_emb),
-                   merge=merge, merge_params=model.merge, text_first=text_first)
-    return score_answer(seq, sample.answer_ids, model.scorer)
+    """The mean over ``samples`` of each sample's mean answer NLL, as one graph."""
+    seq = packed_sequence(model, samples, merge, text_first)
+    return score_answer(seq, [s.answer_ids for s in samples], model.scorer)
 
 
 def mean_dataset_nll(model: ModelParams, dataset: list[PreparedSample], merge: MergeMethod,
                      text_first: bool = False) -> float:
     total = 0.0
     for sample in dataset:
-        total += sample_loss(model, sample, merge, text_first).item()
+        total += sample_loss(model, [sample], merge, text_first).item()
     return total / len(dataset)
 
 
@@ -208,11 +226,7 @@ def _run_stage(model: ModelParams, dataset: list[PreparedSample], merge: MergeMe
         opt.zero_grad()
         base = (s * batch_size) % n
         batch = [dataset[(base + j) % n] for j in range(min(batch_size, n))]
-        losses = [sample_loss(model, sample, merge, text_first) for sample in batch]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        loss = total * (1.0 / len(batch))
+        loss = sample_loss(model, batch, merge, text_first)
         loss.backward()
         opt.step()
         curve.append(CurvePoint(step=start_step + s, stage=stage, loss=loss.item()))

@@ -25,7 +25,6 @@ from .assembly import (
     assemble,
     assemble_video,
     greedy_decode,
-    score_answer,
     scorer_logits,
     sinusoidal_positions,
 )
@@ -33,11 +32,10 @@ from .boxes import Detection, DetectionSet, nms_indices
 from .config import RunConfig, config_from_dict
 from .datagen import generate_dataset, small_training_config
 from .encoders import EncoderConfig, generate_scene
-from .fusion import fuse
 from .pipeline import build_components, encode_frame, prepare_sample, run_image
 from .roi import MultiScalePyramid, RoiConfig, _clip_box_to_grid, build_pyramid, extract_object_features
-from .tensor import Tensor, affine, causal_attention, concat, conv1d, gelu, one_hot
-from .training import PreparedSample, TrainConfig, train_two_stage
+from .tensor import Tensor, affine, attention, causal_attention, concat, conv1d, gelu, one_hot
+from .training import PreparedSample, TrainConfig, sample_loss, train_two_stage
 
 FD_TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -244,6 +242,12 @@ def composed_causal_attention(q: Tensor, k: Tensor, v: Tensor, first: int) -> Te
     return (scores + Tensor(mask)).softmax(axis=-1) @ v
 
 
+def composed_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Non-causal attention from the generic ops, as the cross-attentions
+    were written before the fused op: ``(q @ k^T) * scale``, softmax, ``@ v``."""
+    return ((q @ k.T) * (1.0 / math.sqrt(q.shape[1]))).softmax(axis=-1) @ v
+
+
 def full_scorer_logits(prefix: Tensor, answer_ids: list[int], p: ScorerParams) -> Tensor:
     """The scorer over the whole sequence, built from the composed ops: every
     row of [prefix; answer] is a query under a [T, T] mask, then the
@@ -312,16 +316,12 @@ def full_pipeline_loss_builder(cfg: RunConfig, seed: int):
     gen = rng.stream(seed, "verify.pipeline")
     text_emb = gen.normal(0.0, 1.0, size=(4, cfg.assembly.model_dim))
     answer = [int(v) for v in gen.integers(0, cfg.assembly.vocab_size, size=3)]
-    model = comp.model
+    sample = PreparedSample(e_low, e_high, e_objects, text_emb, answer)
 
     def loss_fn() -> Tensor:
-        fused = fuse(Tensor(e_low), Tensor(e_high), model.fusion)
-        seq = assemble(model.proj_f.apply(fused), model.proj_b.apply(Tensor(e_objects)),
-                       Tensor(text_emb), merge=cfg.assembly.merge,
-                       merge_params=model.merge, text_first=cfg.assembly.text_first)
-        return score_answer(seq, answer, model.scorer)
+        return sample_loss(comp.model, [sample], cfg.assembly.merge, cfg.assembly.text_first)
 
-    return loss_fn, model.named_tensors()
+    return loss_fn, comp.model.named_tensors()
 
 
 # -- suites -----------------------------------------------------------------------
@@ -345,8 +345,15 @@ def _op_gradient_cases(gen: np.random.Generator):
     col_w = Tensor(gen.normal(size=(3,)))
     att_w = Tensor(gen.normal(size=(3, 2)))
 
-    def attention(q: Tensor, first: int) -> Tensor:
-        out = causal_attention(q, att_k, att_v, first)
+    # two packed segments: conv rows 0-1 | 2-4; attention queries 0-1 | 2-3
+    # over keys 0-2 | 3-5, so every segment edge is crossed by some window
+    seg_x, seg_q, seg_k, seg_v = t((5, 3)), t((4, 4)), t((6, 4)), t((6, 2))
+    seg_conv_w = Tensor(gen.normal(size=(5, 4)))
+    seg_att_w = Tensor(gen.normal(size=(4, 2)))
+    seg_leaves = [("q", seg_q), ("k", seg_k), ("v", seg_v)]
+
+    def attention_case(q: Tensor, first: int) -> Tensor:
+        out = causal_attention(q, att_k, att_v, [first])
         return (out * att_w.narrow(0, 0, q.shape[0])).sum()
 
     attention_leaves = [("k", att_k), ("v", att_v)]
@@ -369,9 +376,16 @@ def _op_gradient_cases(gen: np.random.Generator):
         ("concat", lambda: concat([a, b], axis=1).mean(), [("a", a), ("b", b)]),
         ("affine", lambda: affine(aff_x, aff_w, aff_b).sum(),
          [("x", aff_x), ("w", aff_w), ("b", aff_b)]),
-        ("causal_attention_first_0", lambda: attention(att_q, 0), [("q", att_q)] + attention_leaves),
-        ("causal_attention_first_t_minus_l", lambda: attention(att_q, 2), [("q", att_q)] + attention_leaves),
-        ("causal_attention_one_row", lambda: attention(att_row, 1), [("q", att_row)] + attention_leaves),
+        ("causal_attention_first_0", lambda: attention_case(att_q, 0), [("q", att_q)] + attention_leaves),
+        ("causal_attention_first_t_minus_l", lambda: attention_case(att_q, 2), [("q", att_q)] + attention_leaves),
+        ("causal_attention_one_row", lambda: attention_case(att_row, 1), [("q", att_row)] + attention_leaves),
+        ("conv1d_two_segments", lambda: (conv1d(seg_x, w, bias, (0, 2, 5)) * seg_conv_w).sum(),
+         [("x", seg_x), ("w", w), ("bias", bias)]),
+        ("causal_attention_two_segments",
+         lambda: (causal_attention(seg_q, seg_k, seg_v, (1, 0), (0, 2, 4), (0, 3, 6)) * seg_att_w).sum(),
+         seg_leaves),
+        ("attention_two_segments",
+         lambda: (attention(seg_q, seg_k, seg_v, (0, 2, 4), (0, 3, 6)) * seg_att_w).sum(), seg_leaves),
         ("onehot_pick", lambda: (one_hot([1, 0, 2], 3) @ a).sum(), [("a", a)]),
     ]
 
@@ -556,13 +570,13 @@ def suite_scorer(seed: int = 0, cases: int = 40) -> SuiteResult:
     decodes = 12
     worst, identical, mismatched = 0.0, 0, []
     for case, (prefix, answer, p) in enumerate(_scorer_cases(seed, cases)):
-        got = scorer_logits(prefix, answer, p).data
+        got = scorer_logits(prefix, [answer], p).data
         want = full_scorer_logits(prefix, answer, p).data
         worst = max(worst, float(np.max(np.abs(got - want))))
         identical += got.tobytes() == want.tobytes()
         if case < decodes:
             rows = prefix.shape[0]
-            seq = TokenSequence(prefix, (SEGMENT_TEXT,) * rows, (0,) * rows)
+            seq = TokenSequence(prefix, (SEGMENT_TEXT,) * rows)
             if greedy_decode(seq, p, len(answer)) != full_greedy_decode(prefix, p, len(answer)):
                 mismatched.append(case)
     suite.add("rows_equal_full", worst < 1e-12,
@@ -573,8 +587,8 @@ def suite_scorer(seed: int = 0, cases: int = 40) -> SuiteResult:
 
 
 def suite_ops(seed: int = 0, cases: int = 40) -> SuiteResult:
-    """The fused ``affine``, ``gelu`` and ``causal_attention`` against the
-    compositions they replaced: forwards equal, and gradients within
+    """The fused ``affine``, ``gelu``, ``causal_attention`` and ``attention``
+    against the compositions they replaced: forwards equal, and gradients within
     ``FD_TOLERANCE`` of the composition's. The first five cases are the
     attention edges (T, L, first): one key, L = 1 at first = 0 and at
     first = T - 1, and L = 3 at first = 0 and at first = T - L."""
@@ -596,8 +610,9 @@ def suite_ops(seed: int = 0, cases: int = 40) -> SuiteResult:
         for name, fused, composed, args in (
             ("affine", affine, composed_affine, (x, w, b)),
             ("gelu", gelu, composed_gelu, (x,)),
-            ("causal_attention", lambda *a: causal_attention(*a, first),
+            ("causal_attention", lambda *a: causal_attention(*a, [first]),
              lambda *a: composed_causal_attention(*a, first), (q, k, v)),
+            ("attention", attention, composed_attention, (q, k, v)),
         ):
             outs = (fused(*args), composed(*args))
             if not np.array_equal(outs[0].data, outs[1].data):
@@ -614,7 +629,7 @@ def suite_ops(seed: int = 0, cases: int = 40) -> SuiteResult:
                 if err > worst:
                     worst, worst_name = err, f"{name} input {n}, case {case}"
     suite.add("fused_equals_composed", not differ and worst < FD_TOLERANCE,
-              f"{cases} cases x 3 ops: forwards " + (f"differ in {differ[:3]}" if differ else "equal")
+              f"{cases} cases x 4 ops: forwards " + (f"differ in {differ[:3]}" if differ else "equal")
               + f"; max gradient rel err {worst:.3g}" + (f" at {worst_name}" if worst_name else ""))
     return suite
 

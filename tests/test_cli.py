@@ -114,6 +114,27 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert r2["segments"]["object"] <= 1
 
 
+def test_a_whole_section_set_keeps_an_earlier_flag(tmp_path):
+    # TINY sets the whole assembly section after the --merge flag is mapped
+    flagged = run_infer(tmp_path, "--merge", "f_to_b_xattn", name="flag.json")
+    dotted = run_infer(tmp_path, "--set", "assembly.merge=f_to_b_xattn", name="dotted.json")
+    assert flagged["k"] > 0 and flagged["segments"]["object"] == 0
+    assert (flagged["config_hash"], flagged["result_hash"]) == (dotted["config_hash"], dotted["result_hash"])
+
+
+def test_a_train_section_set_merges_into_the_small_config():
+    from visionflow.config import load_config
+    from visionflow.datagen import small_training_config
+
+    base = small_training_config(0).to_dict()
+    cfg = load_config(None, {"train.lr_stage2": 1e-3,
+                             "train": {"stage1_steps": 3, "stage2_steps": 3, "batch_size": 2}}, base=base)
+    assert (cfg.train.stage1_steps, cfg.train.stage2_steps, cfg.train.batch_size) == (3, 3, 2)
+    assert cfg.train.lr_stage2 == 1e-3
+    assert cfg.train.lr_stage1 == small_training_config(0).train.lr_stage1
+    assert cfg.encoder == small_training_config(0).encoder
+
+
 def test_gen_data_and_train_and_rerun_hash(tmp_path):
     data_path = tmp_path / "train.json"
     assert main(["gen-data", "--out", str(data_path), "--samples", "6",
@@ -202,7 +223,7 @@ def test_train_orders_tokens_by_text_first(tmp_path, capsys):
     prepared = [prepare_sample(comp, s.scene, s.text_ids, s.answer_ids) for s in load_dataset(str(data_path))]
 
     def nll(text_first, samples):
-        losses = [sample_loss(comp.model, s, cfg.assembly.merge, text_first).item() for s in samples]
+        losses = [sample_loss(comp.model, [s], cfg.assembly.merge, text_first).item() for s in samples]
         return sum(losses) / len(losses)
 
     assert summary["initial_mean_nll"] == pytest.approx(nll(True, prepared), rel=1e-12)

@@ -252,7 +252,7 @@ def _fused_and_composed(op, gen, t_len=5, ell=3, first=2):
     if op == "gelu":
         return gelu, composed_gelu, [leaf(4, 3)]
     leaves = [leaf(ell, 4), leaf(t_len, 4), leaf(t_len, 2)]
-    return (lambda *a: causal_attention(*a, first),
+    return (lambda *a: causal_attention(*a, [first]),
             lambda *a: composed_causal_attention(*a, first), leaves)
 
 
@@ -295,7 +295,7 @@ def test_fused_ops_record_one_tape_node():
 def test_causal_attention_rejects_rows_past_the_keys():
     q, kv = Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2)))
     with pytest.raises(ShapeError, match="exceed 4 keys"):
-        causal_attention(q, kv, kv, 2)
+        causal_attention(q, kv, kv, [2])
 
 
 def test_one_hot_bounds():

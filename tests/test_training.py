@@ -223,7 +223,7 @@ def test_sample_loss_tape_has_at_most_40_op_nodes():
     comp = build_components(cfg)
     raw = generate_dataset(cfg, n_samples=1)[0]
     sample = prepare_sample(comp, raw.scene, raw.text_ids, raw.answer_ids)
-    loss = sample_loss(comp.model, sample, cfg.assembly.merge)
+    loss = sample_loss(comp.model, [sample], cfg.assembly.merge)
     ops = [node for node in loss.linearize() if not node.is_leaf()]
     assert len(ops) <= 40
 
