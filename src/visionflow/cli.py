@@ -4,7 +4,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
 A data error is a ``DataError`` (malformed input, named by field), a file
 that cannot be read, or malformed JSON or UTF-8; a bad flag value is a usage
 error. Anything else is a bug and ends in a traceback. Config precedence is
-flags > config file > defaults.
+``--set`` > ``--seed`` > config file > defaults.
 """
 
 from __future__ import annotations
@@ -77,23 +77,9 @@ def _int_in(low: int, high: float = math.inf):
 
 def _config_from_args(args, base: dict | None = None) -> RunConfig:
     overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    mapping = {
-        "nms_iou": "boxes.nms_iou",
-        "score_floor": "boxes.score_floor",
-        "max_boxes": "boxes.max_boxes",
-        "tags": "tags",
-        "fusion_strategy": "fusion.strategy",
-        "merge": "assembly.merge",
-    }
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "class_agnostic", False):
-        overrides["boxes.class_aware"] = False
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
@@ -102,7 +88,7 @@ def _config_from_args(args, base: dict | None = None) -> RunConfig:
         except (ValueError, RecursionError):  # not JSON (or past the decoder's limits): the raw string
             value = raw
         overrides[key] = value
-    return load_config(getattr(args, "config", None), overrides, base=base)
+    return load_config(args.config, overrides, base=base)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -126,13 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--answer-ids", help="comma-separated answer ids to score")
     p.add_argument("--decode", type=_int_in(0), default=0, help="greedy-decode N tokens")
     p.add_argument("--checkpoint", help="load trained parameters from this directory")
-    p.add_argument("--nms-iou", type=float)
-    p.add_argument("--score-floor", type=float)
-    p.add_argument("--max-boxes", type=int)
-    p.add_argument("--class-agnostic", action="store_true")
-    p.add_argument("--tags", help="synthetic | coco80 | file:PATH")
-    p.add_argument("--fusion-strategy")
-    p.add_argument("--merge")
     p.add_argument("--threads", type=_int_in(1), default=1,
                    help="parallel per-frame encoding for video inputs")
     p.add_argument("--out", help="write the report JSON here (default stdout)")
@@ -160,7 +139,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic training dataset or video")
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=_int_in(1), default=32)
+    p.add_argument("--samples", type=_int_in(1), help="dataset size (default 32)")
     p.add_argument("--video", action="store_true", help="emit a video descriptor instead")
     p.add_argument("--frames", type=_int_in(1), default=8)
     p.add_argument("--small-config", action="store_true",
@@ -184,6 +163,8 @@ def cmd_infer(args) -> int:
     answer_ids = None if args.answer_ids is None else _parse_ids(args.answer_ids)
     if answer_ids == []:
         raise UsageError("--answer-ids is empty; omit the flag to score nothing")
+    if answer_ids and args.decode:
+        raise UsageError("--answer-ids scores an answer and --decode generates one; give only one")
     cfg = _config_from_args(args)
     vocab = cfg.assembly.vocab_size
     for flag, ids in (("--text-ids", text_ids), ("--answer-ids", answer_ids or [])):
@@ -311,12 +292,16 @@ def cmd_stats(args) -> int:
 def cmd_gen_data(args) -> int:
     seed = args.seed or 0
     if args.video:
+        given = [flag for flag, value in (("--samples", args.samples), ("--small-config", args.small_config),
+                                          ("--config", args.config), ("--set", args.set)) if value]
+        if given:
+            raise UsageError(f"{', '.join(given)} configure a dataset, but --video emits a video descriptor")
         payload = generate_video_descriptor(seed, n_frames=args.frames)
         _emit(payload, args.out)
         return EXIT_OK
     base = small_training_config(seed).to_dict() if args.small_config else None
     cfg = _config_from_args(args, base=base)
-    samples = generate_dataset(cfg, n_samples=args.samples)
+    samples = generate_dataset(cfg, n_samples=args.samples or 32)
     save_dataset(samples, args.out, seed=cfg.seed)
     print(json.dumps({"command": "gen-data", "samples": len(samples), "out": args.out}))
     return EXIT_OK

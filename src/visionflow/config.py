@@ -1,6 +1,6 @@
-"""Run configuration: defaults, JSON loading, flag overrides, validation.
+"""Run configuration: defaults, JSON loading, dotted overrides, validation.
 
-Precedence is flags over file over defaults. Validation happens at
+Precedence is overrides over file over defaults. Validation happens at
 construction time; invalid combinations are rejected with the violated
 constraint named. All randomness downstream flows from the single root seed
 via named streams.
@@ -35,16 +35,13 @@ class RunConfig:
     video_frames: int = 8
 
     def __post_init__(self):
-        # the root seed is the single entropy source; the encoder section follows it
-        if self.encoder.seed != self.seed:
-            object.__setattr__(self, "encoder", dataclasses.replace(self.encoder, seed=self.seed))
         if self.fusion.channels_low != self.encoder.channels_low:
             raise ValueError(
                 f"fusion.channels_low {self.fusion.channels_low} != encoder.channels_low {self.encoder.channels_low}"
             )
         if self.fusion.channels_high != self.encoder.channels_high:
             raise ValueError(
-                f"fusion.channels_high {self.fusion.channels_high} != encoder.channels_high {self.encoder.channels_high}"
+                f"fusion.channels_high {self.fusion.channels_high} != encoder.stage_channels[-1] {self.encoder.channels_high}"
             )
         if self.video_frames <= 0:
             raise ValueError(f"video_frames must be positive, got {self.video_frames}")
@@ -114,16 +111,11 @@ _SECTIONS = {
 
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
-    kwargs = {}
-    # the root seed propagates into the encoder section unless given there
-    seed = _typed(RunConfig.seed, data.pop("seed", 0), "seed")
-    kwargs["seed"] = seed
+    kwargs = {"seed": _typed(RunConfig.seed, data.pop("seed", 0), "seed")}
     for name, cls in _SECTIONS.items():
         section = data.pop(name, {})
         if not isinstance(section, dict):
             raise DataError(f"config section {name!r} must be a JSON object, got {section!r}")
-        if name == "encoder":
-            section = {"seed": seed, **section}
         kwargs[name] = _build_section(cls, section, name)
     for scalar in ("tags", "video_frames"):
         if scalar in data:

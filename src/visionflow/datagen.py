@@ -23,8 +23,7 @@ def small_training_config(seed: int = 0) -> RunConfig:
     """A desk-scale config for the bundled overfit dataset (64 tokens/frame)."""
     return config_from_dict({
         "seed": seed,
-        "encoder": {"low_res": 112, "high_res": 256, "channels_low": 12,
-                    "channels_high": 12, "stage_channels": [4, 6, 8, 12]},
+        "encoder": {"low_res": 112, "channels_low": 12, "stage_channels": [4, 6, 8, 12]},
         "fusion": {"channels_low": 12, "channels_high": 12, "gate_channels": 8},
         "roi": {"bins": [3, 3], "samples_per_bin": 2},
         "train": {"stage1_steps": 200, "stage2_steps": 300, "batch_size": 8},

@@ -33,61 +33,39 @@ LABEL_POOL = (
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Resolutions, strides and channel widths for the two vision branches."""
+    """Resolution, stride and channel widths for the two vision branches.
+
+    The conv-gate fusion adds high-res features onto the low-res tokens one
+    for one, so two values follow from these fields: the high-res side is
+    ``low_res / stride_low * 32`` (32 is the deepest stage stride) and the
+    high-res width is the last stage width.
+    """
 
     low_res: int = 336
-    high_res: int = 768
     stride_low: int = 14
-    stride_high: int = 32
     channels_low: int = 32
-    channels_high: int = 48
     stage_channels: tuple[int, ...] = (8, 16, 32, 48)
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("low_res", "high_res", "stride_low", "channels_low", "channels_high"):
+        for name in ("low_res", "stride_low", "channels_low"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError(f"stage_channels must all be >= 1, got {list(self.stage_channels)}")
-        deepest = math.prod(HighResEncoder.STAGE_FACTORS)
-        if self.stride_high != deepest:
-            raise ValueError(f"stride_high {self.stride_high} != {deepest}, the deepest stage stride")
         if self.low_res % self.stride_low != 0:
             raise ValueError(
                 f"low_res {self.low_res} not divisible by stride {self.stride_low}"
             )
-        if self.high_res % self.stride_high != 0:
-            raise ValueError(
-                f"high_res {self.high_res} not divisible by stride {self.stride_high}"
-            )
-        low_side = self.low_res // self.stride_low
-        high_side = self.high_res // self.stride_high
-        if low_side != high_side:
-            raise ValueError(
-                "token-count equality violated: "
-                f"(low_res/{self.stride_low})^2 = {low_side ** 2} but "
-                f"(high_res/{self.stride_high})^2 = {high_side ** 2}"
-            )
         if len(self.stage_channels) != 4:
             raise ValueError("high-res encoder has exactly four stages")
-        if self.stage_channels[-1] != self.channels_high:
-            raise ValueError(
-                f"final stage width {self.stage_channels[-1]} must equal channels_high {self.channels_high}"
-            )
 
-    @classmethod
-    def adjusted(cls, low_res: int, high_res: int, **kwargs) -> EncoderConfig:
-        """Snap nominal resolutions so both branches emit the same token count.
+    @property
+    def high_res(self) -> int:
+        return self.tokens_per_side * math.prod(HighResEncoder.STAGE_FACTORS)
 
-        The low resolution is rounded to the nearest stride-14 multiple; the
-        high resolution is then forced to tokens_per_side * 32, whatever was
-        requested (e.g. nominal 224/448 becomes effective 224/512).
-        """
-        stride_low = kwargs.get("stride_low", 14)
-        stride_high = kwargs.get("stride_high", 32)
-        side = max(1, round(low_res / stride_low))
-        return cls(low_res=side * stride_low, high_res=side * stride_high, **kwargs)
+    @property
+    def channels_high(self) -> int:
+        return self.stage_channels[-1]
 
     @property
     def tokens_per_side(self) -> int:
@@ -108,9 +86,9 @@ def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 class LowResEncoder:
     """Patch-mean pooling at stride 14 followed by a fixed seeded linear map."""
 
-    def __init__(self, cfg: EncoderConfig):
+    def __init__(self, cfg: EncoderConfig, seed: int):
         self.cfg = cfg
-        gen = rng.stream(cfg.seed, "encoder.low")
+        gen = rng.stream(seed, "encoder.low")
         self.weight = gen.normal(0.0, 0.8, size=(3, cfg.channels_low))
         self.bias = gen.normal(0.0, 0.2, size=(cfg.channels_low,))
 
@@ -129,13 +107,13 @@ class HighResEncoder:
 
     STAGE_FACTORS = (4, 2, 2, 2)
 
-    def __init__(self, cfg: EncoderConfig):
+    def __init__(self, cfg: EncoderConfig, seed: int):
         self.cfg = cfg
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         in_ch = 3
         for i, (k, out_ch) in enumerate(zip(self.STAGE_FACTORS, cfg.stage_channels)):
-            gen = rng.stream(cfg.seed, f"encoder.high.stage{i}")
+            gen = rng.stream(seed, f"encoder.high.stage{i}")
             fan_in = in_ch * k * k
             self.weights.append(gen.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, out_ch)))
             self.biases.append(gen.normal(0.0, 0.05, size=(out_ch,)))

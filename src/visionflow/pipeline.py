@@ -54,8 +54,8 @@ def build_components(cfg: RunConfig, model: ModelParams | None = None) -> Compon
         model = ModelParams.build(cfg.fusion, cfg.assembly, cfg.object_channels, cfg.seed)
     return Components(
         cfg=cfg,
-        low_encoder=LowResEncoder(cfg.encoder),
-        high_encoder=HighResEncoder(cfg.encoder),
+        low_encoder=LowResEncoder(cfg.encoder, cfg.seed),
+        high_encoder=HighResEncoder(cfg.encoder, cfg.seed),
         text_embedder=TextEmbedder(cfg.assembly.vocab_size, cfg.assembly.model_dim, cfg.seed),
         model=model,
     )

@@ -276,8 +276,7 @@ def tiny_config(seed: int = 0, fusion_strategy: str = "conv_gate",
     """Smallest valid config: 4 tokens, narrow channels, 2x2 RoI bins."""
     return config_from_dict({
         "seed": seed,
-        "encoder": {"low_res": 28, "high_res": 64, "channels_low": 6,
-                    "channels_high": 8, "stage_channels": [2, 3, 4, 8]},
+        "encoder": {"low_res": 28, "channels_low": 6, "stage_channels": [2, 3, 4, 8]},
         "fusion": {"strategy": fusion_strategy, "channels_low": 6,
                    "channels_high": 8, "gate_channels": 4},
         "roi": {"bins": [2, 2], "samples_per_bin": 2},
@@ -642,9 +641,7 @@ def suite_tokens(seed: int = 0, draws: int = 60) -> SuiteResult:
     ok = True
     for _ in range(draws):
         low = int(gen.choice([224, 336]))
-        cfg_enc = EncoderConfig.adjusted(low, 2 * low, channels_low=4, channels_high=4,
-                                         stage_channels=(2, 2, 2, 4))
-        n = cfg_enc.num_tokens
+        n = EncoderConfig(low_res=low, channels_low=4, stage_channels=(2, 2, 2, 4)).num_tokens
         k = int(gen.integers(0, 101))
         l_t = int(gen.integers(1, 33))
         seq = assemble(Tensor(gen.normal(size=(n, d))), Tensor(gen.normal(size=(k, d))),

@@ -128,10 +128,8 @@ def test_criterion_5_token_accounting_sweep():
     gen = rng.stream(0, "acceptance.tokens")
     d = 8
     failures = []
-    for nominal_low, nominal_high in ((224, 448), (336, 768)):
-        cfg_enc = EncoderConfig.adjusted(nominal_low, nominal_high, channels_low=4,
-                                         channels_high=4, stage_channels=(2, 2, 2, 4))
-        n = cfg_enc.num_tokens
+    for low_res in (224, 336):
+        n = EncoderConfig(low_res=low_res, channels_low=4, stage_channels=(2, 2, 2, 4)).num_tokens
         for _ in range(40):
             k = int(gen.integers(0, 101))
             l_t = int(gen.integers(1, 33))
@@ -146,7 +144,7 @@ def test_criterion_5_token_accounting_sweep():
     video = assemble_video(frames, Tensor(gen.normal(size=(l_t, d))))
     video_ok = len(video) == sum(576 + k for k in ks) + l_t
     ok = not failures and video_ok
-    report(5, ok, f"80 image draws over adjusted 224/448 and 336/768 configs, "
+    report(5, ok, f"80 image draws over low_res 224 and 336 configs, "
                   f"k in 0..100, L_T in 1..32; 8-frame video check; failures: {failures}")
 
 
@@ -270,7 +268,7 @@ def test_criterion_9_box_cap():
 
 def test_criterion_10_cli_determinism(tmp_path):
     tiny = [
-        "--set", 'encoder={"low_res": 28, "high_res": 64, "channels_low": 6, "channels_high": 8, "stage_channels": [2, 3, 4, 8]}',
+        "--set", 'encoder={"low_res": 28, "channels_low": 6, "stage_channels": [2, 3, 4, 8]}',
         "--set", 'fusion={"channels_low": 6, "channels_high": 8, "gate_channels": 4}',
         "--set", 'roi={"bins": [2, 2], "samples_per_bin": 2}',
         "--set", 'assembly={"model_dim": 10, "vocab_size": 13, "scorer_hidden": 12}',

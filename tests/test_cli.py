@@ -11,7 +11,7 @@ from visionflow.datagen import generate_video_descriptor
 from visionflow.encoders import generate_scene, save_descriptor
 
 TINY = [
-    "--set", 'encoder={"low_res": 28, "high_res": 64, "channels_low": 6, "channels_high": 8, "stage_channels": [2, 3, 4, 8]}',
+    "--set", 'encoder={"low_res": 28, "channels_low": 6, "stage_channels": [2, 3, 4, 8]}',
     "--set", 'fusion={"channels_low": 6, "channels_high": 8, "gate_channels": 4}',
     "--set", 'roi={"bins": [2, 2], "samples_per_bin": 2}',
     "--set", 'assembly={"model_dim": 10, "vocab_size": 13, "scorer_hidden": 12}',
@@ -47,7 +47,7 @@ def test_infer_default_config_fused_576(tmp_path):
 
 
 def test_infer_max_boxes_flag_caps_objects(tmp_path):
-    report = run_infer(tmp_path, "--max-boxes", "1")
+    report = run_infer(tmp_path, "--set", "boxes.max_boxes=1")
     assert report["segments"]["object"] <= 1
 
 
@@ -109,17 +109,20 @@ def test_config_file_and_flag_precedence(tmp_path):
     # file caps at 2
     r1 = run_infer(tmp_path, "--config", str(cfg_path), name="f1.json")
     assert r1["segments"]["object"] <= 2
-    # flag beats file
-    r2 = run_infer(tmp_path, "--config", str(cfg_path), "--max-boxes", "1", name="f2.json")
+    # --set beats file
+    r2 = run_infer(tmp_path, "--config", str(cfg_path), "--set", "boxes.max_boxes=1", name="f2.json")
     assert r2["segments"]["object"] <= 1
 
 
 def test_a_whole_section_set_keeps_an_earlier_flag(tmp_path):
-    # TINY sets the whole assembly section after the --merge flag is mapped
-    flagged = run_infer(tmp_path, "--merge", "f_to_b_xattn", name="flag.json")
-    dotted = run_infer(tmp_path, "--set", "assembly.merge=f_to_b_xattn", name="dotted.json")
-    assert flagged["k"] > 0 and flagged["segments"]["object"] == 0
-    assert (flagged["config_hash"], flagged["result_hash"]) == (dotted["config_hash"], dotted["result_hash"])
+    # TINY's whole assembly section comes after the dotted merge key
+    out = tmp_path / "early.json"
+    assert main(["infer", "--set", "assembly.merge=f_to_b_xattn", *TINY, "--scene-seed", "5",
+                 "--text-ids", "1,2,3", "--answer-ids", "4,5", "--out", str(out)]) == EXIT_OK
+    early = json.loads(out.read_text())
+    late = run_infer(tmp_path, "--set", "assembly.merge=f_to_b_xattn", name="late.json")
+    assert early["k"] > 0 and early["segments"]["object"] == 0
+    assert (early["config_hash"], early["result_hash"]) == (late["config_hash"], late["result_hash"])
 
 
 def test_a_train_section_set_merges_into_the_small_config():
@@ -133,6 +136,46 @@ def test_a_train_section_set_merges_into_the_small_config():
     assert cfg.train.lr_stage2 == 1e-3
     assert cfg.train.lr_stage1 == small_training_config(0).train.lr_stage1
     assert cfg.encoder == small_training_config(0).encoder
+
+
+def leaf_values(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_values(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def another_value(value):
+    """A value of the same JSON type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, list):
+        return [another_value(v) for v in value]
+    if isinstance(value, str):
+        return value + "x"
+    return value + (1 if isinstance(value, int) else 0.125)
+
+
+@pytest.mark.parametrize("base", ["defaults", "tiny"])
+def test_no_config_key_is_silently_rewritten(base):
+    from visionflow.config import RunConfig, load_config
+    from visionflow.encoders import DataError
+    from visionflow.verify import tiny_config
+
+    doc = (RunConfig() if base == "defaults" else tiny_config()).to_dict()
+    rewritten = []
+    for key, value in leaf_values(doc):
+        wanted = another_value(value)
+        try:
+            got = load_config(None, {key: wanted}, base=doc).to_dict()
+        except DataError:
+            continue
+        for part in key.split("."):
+            got = got[part]
+        if got != wanted:
+            rewritten.append(f"{key}: set {wanted!r}, got {got!r}")
+    assert not rewritten
 
 
 def test_gen_data_and_train_and_rerun_hash(tmp_path):
@@ -369,6 +412,12 @@ def test_out_of_range_infer_flags_are_usage_errors(flags, named, capsys):
     assert named in capsys.readouterr().err
 
 
+def test_answer_ids_with_decode_is_a_usage_error_naming_both(capsys):
+    assert main(["infer", *TINY, "--scene-seed", "5", "--answer-ids", "3", "--decode", "4"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--answer-ids" in err and "--decode" in err
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda d: d["objects"][0].update(x0=float("nan")), "objects[0].x0"),
     (lambda d: d.update(height=-16), "height"),
@@ -408,11 +457,16 @@ def test_mistyped_scene_descriptor_exits_data_naming_the_field(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
-def test_high_res_stride_other_than_the_deepest_stage_exits_data_naming_it(capsys):
-    # 1536 / 64 keeps 24 tokens per side, but the encoder's stages end at stride 32
-    argv = ["infer", "--set", "encoder.stride_high=64", "--set", "encoder.high_res=1536"]
-    assert main(argv) == EXIT_DATA
-    assert "stride_high" in capsys.readouterr().err
+@pytest.mark.parametrize("key, value", [
+    ("encoder.high_res", 768),
+    ("encoder.stride_high", 32),
+    ("encoder.channels_high", 48),
+    ("encoder.seed", 0),
+], ids=["high_res", "stride_high", "channels_high", "seed"])
+def test_a_removed_encoder_key_exits_data_naming_it(key, value, capsys):
+    # the high-res side and width are derived and the root seed is the only seed
+    assert main(["infer", "--scene-seed", "5", "--set", f"{key}={value}"]) == EXIT_DATA
+    assert repr(key.split(".")[1]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -448,16 +502,16 @@ def test_data_errors_exit_two(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["infer", "--input", str(bad)]) == EXIT_DATA
     assert main(["stats", "--corpus", str(tmp_path / "void")]) == EXIT_DATA
-    # config that violates the token-count constraint
+    # config whose low_res is not a multiple of stride_low
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"encoder": {"low_res": 224, "high_res": 448}}))
+    cfg.write_text(json.dumps({"encoder": {"low_res": 100}}))
     assert main(["infer", "--config", str(cfg), "--scene-seed", "1"]) == EXIT_DATA
     # a directory, a tag file without a tags list, a video without frames
     assert main(["infer", *TINY, "--input", str(tmp_path)]) == EXIT_DATA
     tags = tmp_path / "tags.json"
     tags.write_text(json.dumps({"labels": ["cat"]}))
     capsys.readouterr()
-    assert main(["infer", *TINY, "--scene-seed", "5", "--tags", f"file:{tags}"]) == EXIT_DATA
+    assert main(["infer", *TINY, "--scene-seed", "5", "--set", f"tags=file:{tags}"]) == EXIT_DATA
     assert "tags must be a list" in capsys.readouterr().err
     video = tmp_path / "video.json"
     video.write_text(json.dumps({"frames": []}))
@@ -482,6 +536,19 @@ def test_gen_data_video_descriptor(tmp_path):
     assert main(["gen-data", "--video", "--frames", "5", "--out", str(out), "--seed", "2"]) == EXIT_OK
     payload = json.load(open(out))
     assert len(payload["frames"]) == 5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "5"],
+    ["--small-config"],
+    ["--config", "config.json"],
+    ["--set", "train.batch_size=3"],
+], ids=["samples", "small_config", "config", "set"])
+def test_gen_data_video_rejects_dataset_flags(tmp_path, capsys, flags):
+    out = tmp_path / "video.json"
+    assert main(["gen-data", "--video", "--frames", "2", "--out", str(out), *flags]) == EXIT_USAGE
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -512,11 +579,11 @@ def test_malformed_boxes_file_exits_data_naming_the_field(tmp_path, capsys, edit
 
 
 @pytest.mark.parametrize("flags, field", [
-    (["--merge", "foo"], "assembly.merge"),
-    (["--fusion-strategy", "foo"], "fusion.strategy"),
+    (["--set", "assembly.merge=foo"], "assembly.merge"),
+    (["--set", "fusion.strategy=foo"], "fusion.strategy"),
     (["--set", "fusion.strategy=[1]"], "fusion.strategy"),
     (["--set", "boxes.nms_iou=2"], "nms_iou"),
-    (["--nms-iou", "0"], "nms_iou"),
+    (["--set", "boxes.nms_iou=0"], "nms_iou"),
     (["--set", "fusion.conv_kernel=2"], "conv_kernel"),
     (["--set", "fusion.gate_channels=0"], "gate_channels"),
     (["--set", 'seed="a"'], "seed"),
@@ -598,3 +665,18 @@ def test_json_the_decoder_cannot_hold_exits_data_naming_the_file(tmp_path, capsy
     assert main(["infer", *TINY, "--input", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err and named in err
+
+
+def test_readme_cli_examples_parse():
+    import shlex
+    from pathlib import Path
+
+    from visionflow.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()
+             if line.startswith("visionflow ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -23,7 +23,7 @@ from visionflow.datagen import generate_video_descriptor
 from visionflow.encoders import generate_scene
 
 TINY_CONFIG = {
-    "encoder": {"low_res": 28, "high_res": 64, "channels_low": 6, "channels_high": 8, "stage_channels": [2, 3, 4, 8]},
+    "encoder": {"low_res": 28, "channels_low": 6, "stage_channels": [2, 3, 4, 8]},
     "fusion": {"channels_low": 6, "channels_high": 8, "gate_channels": 4},
     "roi": {"bins": [2, 2], "samples_per_bin": 2},
     "assembly": {"model_dim": 10, "vocab_size": 13, "scorer_hidden": 12},
@@ -132,7 +132,7 @@ def test_any_box_file_exits_cleanly(work, doc):
 @FUZZ
 @given(doc=one_field_replaced(TAGS, FILE_JSON))
 def test_any_tag_file_exits_cleanly(work, doc):
-    assert infer(work, "--scene-seed", "5", "--tags", "file:" + write_json(work / "tags.json", doc)) in EXITS
+    assert infer(work, "--scene-seed", "5", "--set", "tags=file:" + write_json(work / "tags.json", doc)) in EXITS
 
 
 @FUZZ
@@ -166,7 +166,7 @@ def test_any_checkpoint_manifest_exits_cleanly(work, checkpoint, data):
 
 CONFIG_KEYS = (["seed", "tags", "video_frames", *TINY_CONFIG, "boxes"]
                + [f"{section}.{key}" for section, body in TINY_CONFIG.items() for key in body]
-               + ["encoder.stride_low", "encoder.stride_high", "fusion.strategy", "fusion.conv_kernel",
+               + ["encoder.stride_low", "fusion.strategy", "fusion.conv_kernel",
                   "fusion.gate_per_channel", "boxes.nms_iou", "boxes.score_floor", "boxes.max_boxes",
                   "boxes.class_aware", "assembly.merge", "assembly.text_first", "train.lr_stage1"])
 
@@ -180,8 +180,7 @@ def test_any_set_value_exits_cleanly(work, key, raw):
 
 @FUZZ
 @given(flag=st.sampled_from(["--text-ids", "--answer-ids", "--scene-objects", "--scene-seed", "--seed",
-                             "--nms-iou", "--score-floor", "--max-boxes", "--tags", "--merge",
-                             "--fusion-strategy"]),
+                             "--decode"]),
        value=st.text(max_size=8) | st.integers(-3, 40).map(str) | st.floats().map(str))
 def test_any_flag_value_exits_cleanly(work, flag, value):
     assert infer(work, "--scene-seed", "5", f"{flag}={value}") in EXITS

@@ -183,7 +183,7 @@ def scene_pyramid(seed):
 
     cfg = RunConfig(seed=seed)
     scene = generate_scene(seed, n_objects=3)
-    stages = HighResEncoder(cfg.encoder).encode(render_scene(scene))
+    stages = HighResEncoder(cfg.encoder, cfg.seed).encode(render_scene(scene))
     pyr = build_pyramid(stages, image_height=scene.height, image_width=scene.width)
     return pyr, scene, cfg
 
