@@ -87,6 +87,7 @@ def _config_from_args(args, base: dict | None = None) -> RunConfig:
             value = json.loads(raw)
         except (ValueError, RecursionError):  # not JSON (or past the decoder's limits): the raw string
             value = raw
+        overrides.pop(key, None)  # a repeated key applies at its last position
         overrides[key] = value
     return load_config(args.config, overrides, base=base)
 
@@ -141,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=_int_in(1), help="dataset size (default 32)")
     p.add_argument("--video", action="store_true", help="emit a video descriptor instead")
-    p.add_argument("--frames", type=_int_in(1), default=8)
+    p.add_argument("--frames", type=_int_in(1), help="video frames (default 8)")
     p.add_argument("--small-config", action="store_true",
                    help="use the bundled desk-scale training config")
     return parser
@@ -296,9 +297,11 @@ def cmd_gen_data(args) -> int:
                                           ("--config", args.config), ("--set", args.set)) if value]
         if given:
             raise UsageError(f"{', '.join(given)} configure a dataset, but --video emits a video descriptor")
-        payload = generate_video_descriptor(seed, n_frames=args.frames)
+        payload = generate_video_descriptor(seed, n_frames=args.frames or 8)
         _emit(payload, args.out)
         return EXIT_OK
+    if args.frames is not None:
+        raise UsageError("--frames sets a video's length, but without --video gen-data emits a dataset")
     base = small_training_config(seed).to_dict() if args.small_config else None
     cfg = _config_from_args(args, base=base)
     samples = generate_dataset(cfg, n_samples=args.samples or 32)

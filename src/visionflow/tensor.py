@@ -20,8 +20,9 @@ row-wise, so no segment reads another's rows. With one segment each op
 computes what it computed before segments existed, bit for bit.
 
 Values are row-major float64 numpy arrays (gradient checks demand double
-precision). Tensors are immutable values after construction: ops allocate
-fresh output arrays and never write into their inputs. There is no
+precision). Ops allocate fresh output arrays and never write into their
+inputs. Model parameters are views into one buffer, which the optimizer
+updates in place between steps (``training.ModelParams``). There is no
 broadcasting beyond scalar-with-tensor (``affine`` adds its bias row inside
 the op); any other shape mismatch raises ``ShapeError`` naming both shapes.
 

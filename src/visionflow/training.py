@@ -7,6 +7,13 @@ are never trainable (they live outside the parameter set entirely; the empty
 Adam steps with a fixed reduction order, so runs are bit-reproducible per
 seed.
 
+Every parameter is a view into one float64 buffer, ``ModelParams.flat``, in
+``named_tensors()`` order (the checkpoint's byte order). Adam updates it in
+place with two buffer-sized moment arrays; a checkpoint writes it at once. A
+tensor without a gradient in a step (frozen, or unused by the batch, like the
+merge weights of an object-free batch) keeps its values and moments. Frozen
+tensors never get one: backward writes only into inputs that require one.
+
 A training step builds one graph for its whole batch: ``sample_loss`` packs
 the samples back to back (each stream stacks their rows) and passes the
 per-sample row bounds to every op that mixes rows, so no sample reads
@@ -20,7 +27,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,13 +59,23 @@ PRETRAIN_TRAINABLE = frozenset({GROUP_FUSION, GROUP_PROJ_F, GROUP_PROJ_B})
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor, partitioned into named groups."""
+    """Every trainable tensor, partitioned into named groups.
+
+    Each tensor's ``data`` is a view into ``flat``: write into it in place,
+    because a rebound ``data`` no longer trains or saves."""
 
     fusion: FusionParams
     proj_f: ProjectorParams
     proj_b: ProjectorParams
     scorer: ScorerParams
     merge: CrossAttentionParams | None = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tensors = [t for _, t in self.named_tensors()]
+        self.flat = np.concatenate([t.data.ravel() for t in tensors])
+        for t, lo in zip(tensors, segment_bounds(t.size for t in tensors)):
+            t.data = self.flat[lo:lo + t.size].reshape(t.shape)
 
     @classmethod
     def build(cls, fusion_cfg: FusionConfig, assembly_cfg: AssemblyConfig,
@@ -123,32 +140,31 @@ class FreezeMask:
 
 
 class Adam:
-    """Deterministic Adam over an ordered tensor list."""
+    """Deterministic Adam over the model's flat parameter buffer."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, named: list[tuple[str, Tensor]], lr: float):
-        self.named = sorted(named, key=lambda kv: kv[0])
+    def __init__(self, model: ModelParams, lr: float):
+        self.tensors = [t for _, t in model.named_tensors()]
+        self.sizes = [t.size for t in self.tensors]
+        self.flat = model.flat
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.named}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.named}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self) -> None:
+        """Update every tensor that has a gradient, then clear the gradients."""
         self.t += 1
         b1c = 1.0 - self.BETA1 ** self.t
         b2c = 1.0 - self.BETA2 ** self.t
-        for name, t in self.named:
-            g = t.grad
-            if g is None:
-                continue
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.EPS)
-            t.data = t.data - self.lr * update
-
-    def zero_grad(self) -> None:
-        for _, t in self.named:
+        live = np.repeat([t.grad is not None for t in self.tensors], self.sizes)
+        g = np.concatenate([np.zeros(t.size) if t.grad is None else t.grad.ravel() for t in self.tensors])
+        np.copyto(self.m, self.BETA1 * self.m + (1.0 - self.BETA1) * g, where=live)
+        np.copyto(self.v, self.BETA2 * self.v + (1.0 - self.BETA2) * (g * g), where=live)
+        update = (self.m / b1c) / (np.sqrt(self.v / b2c) + self.EPS)
+        np.copyto(self.flat, self.flat - self.lr * update, where=live)
+        for t in self.tensors:
             t.grad = None
 
 
@@ -216,14 +232,11 @@ class CurvePoint:
 def _run_stage(model: ModelParams, dataset: list[PreparedSample], merge: MergeMethod,
                text_first: bool, stage: str, steps: int, lr: float, batch_size: int,
                start_step: int) -> list[CurvePoint]:
-    mask = FreezeMask.for_stage(stage, model)
-    mask.apply(model)
-    trainable = [(name, t) for name, t in model.named_tensors() if t.requires_grad]
-    opt = Adam(trainable, lr=lr)
+    FreezeMask.for_stage(stage, model).apply(model)
+    opt = Adam(model, lr=lr)
     n = len(dataset)
     curve: list[CurvePoint] = []
     for s in range(steps):
-        opt.zero_grad()
         base = (s * batch_size) % n
         batch = [dataset[(base + j) % n] for j in range(min(batch_size, n))]
         loss = sample_loss(model, batch, merge, text_first)
@@ -258,14 +271,10 @@ def save_checkpoint(model: ModelParams, directory: str, stage: str, seed: int,
                     config_hash: str) -> None:
     """Write manifest.json plus one raw little-endian float64 blob file."""
     os.makedirs(directory, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
-    for name, t in model.named_tensors():
-        raw = t.data.astype("<f8").tobytes()
-        entries.append({"name": name, "shape": list(t.shape), "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+    named = model.named_tensors()
+    bounds = segment_bounds(t.size for _, t in named)
+    entries = [{"name": name, "shape": list(t.shape), "offset": 8 * lo, "nbytes": 8 * (hi - lo)}
+               for (name, t), lo, hi in zip(named, bounds, bounds[1:])]
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "stage": stage,
@@ -277,7 +286,7 @@ def save_checkpoint(model: ModelParams, directory: str, stage: str, seed: int,
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        fh.write(b"".join(blobs))
+        fh.write(model.flat.astype("<f8").tobytes())
 
 
 def _is_int(value) -> bool:
@@ -330,13 +339,13 @@ def load_checkpoint_state(directory: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def restore_model(model: ModelParams, state: dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into a structurally matching model."""
+    """Copy checkpoint arrays into a structurally matching model, in place."""
     for name, t in model.named_tensors():
         if name not in state:
             raise DataError(f"checkpoint missing tensor {name!r}")
         if tuple(state[name].shape) != t.shape:
             raise DataError(f"checkpoint tensor {name!r} has shape {state[name].shape}, expected {t.shape}")
-        t.data = state[name]
+        t.data[...] = state[name]
 
 
 def checkpoint_hash(directory: str) -> str:

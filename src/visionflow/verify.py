@@ -716,7 +716,7 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
         prepared = [prepare_sample(comp, s.scene, s.text_ids, s.answer_ids) for s in raw]
         tc = TrainConfig(stage1_steps=3, stage2_steps=3, batch_size=2)
         curve = train_two_stage(comp.model, prepared, tc)
-        blob = b"".join(comp.model.group_bytes(g) for g in sorted(comp.model.groups()))
+        blob = comp.model.flat.tobytes()
         tail = ",".join(f"{p.loss:.17g}" for p in curve)
         return blob + tail.encode()
 

@@ -125,6 +125,15 @@ def test_a_whole_section_set_keeps_an_earlier_flag(tmp_path):
     assert (early["config_hash"], early["result_hash"]) == (late["config_hash"], late["result_hash"])
 
 
+def test_a_repeated_set_key_applies_at_its_last_position():
+    from visionflow.assembly import MergeMethod
+    from visionflow.cli import _config_from_args, build_parser
+
+    argv = ["infer", "--set", "assembly.merge=concat", "--set", 'assembly={"merge": "f_to_b_xattn"}',
+            "--set", "assembly.merge=b_to_f_xattn"]
+    assert _config_from_args(build_parser().parse_args(argv)).assembly.merge is MergeMethod.B_TO_F_XATTN
+
+
 def test_a_train_section_set_merges_into_the_small_config():
     from visionflow.config import load_config
     from visionflow.datagen import small_training_config
@@ -538,15 +547,17 @@ def test_gen_data_video_descriptor(tmp_path):
     assert len(payload["frames"]) == 5
 
 
-@pytest.mark.parametrize("flags", [
-    ["--samples", "5"],
-    ["--small-config"],
-    ["--config", "config.json"],
-    ["--set", "train.batch_size=3"],
-], ids=["samples", "small_config", "config", "set"])
-def test_gen_data_video_rejects_dataset_flags(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags, video", [
+    (["--samples", "5"], True),
+    (["--small-config"], True),
+    (["--config", "config.json"], True),
+    (["--set", "train.batch_size=3"], True),
+    (["--frames", "3"], False),  # and the video flag without --video
+], ids=["samples", "small_config", "config", "set", "frames_without_video"])
+def test_gen_data_video_rejects_dataset_flags(tmp_path, capsys, flags, video):
     out = tmp_path / "video.json"
-    assert main(["gen-data", "--video", "--frames", "2", "--out", str(out), *flags]) == EXIT_USAGE
+    mode = ["--video", "--frames", "2"] if video else []
+    assert main(["gen-data", *mode, "--out", str(out), *flags]) == EXIT_USAGE
     assert flags[0] in capsys.readouterr().err
     assert not out.exists()
 

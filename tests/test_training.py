@@ -143,15 +143,66 @@ def test_load_dataset_rejects_samples_that_are_not_a_list(tmp_path):
 
 
 def test_adam_skips_gradless_tensors():
-    from visionflow.tensor import Tensor
-
-    t = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([("t", t)], lr=0.1)
+    model = fresh_model(tiny_config())
+    t = model.named_tensors()[0][1]  # the first slice of the buffer
+    start = model.flat.copy()
+    opt = Adam(model, lr=0.1)
     opt.step()  # no grad: no movement
-    np.testing.assert_array_equal(t.data, np.ones(3))
-    t.grad = np.ones(3)
+    np.testing.assert_array_equal(model.flat, start)
+    t.grad = np.ones(t.shape)
     opt.step()
-    assert not np.allclose(t.data, np.ones(3))
+    assert not np.allclose(t.data, start[:t.size].reshape(t.shape))
+    # every other tensor had no gradient: its values and moments stay put
+    np.testing.assert_array_equal(model.flat[t.size:], start[t.size:])
+    assert not opt.m[t.size:].any() and not opt.v[t.size:].any()
+    assert t.grad is None  # step consumed the gradient
+
+
+def test_buffer_adam_equals_per_tensor_adam_bit_for_bit():
+    model = fresh_model(tiny_config(merge="b_to_f_xattn"))
+    named = model.named_tensors()
+    lr, gen = 0.01, rng.stream(0, "test.training.adam")
+    opt = Adam(model, lr=lr)
+    # the per-tensor reference: each tensor's own moments, skipped without a gradient
+    ref = {name: t.data.copy() for name, t in named}
+    m = {name: np.zeros_like(a) for name, a in ref.items()}
+    v = {name: np.zeros_like(a) for name, a in ref.items()}
+    for step in range(1, 51):
+        grads = {name: gen.normal(size=t.shape) if gen.random() < 0.7 else None for name, t in named}
+        for name, t in named:
+            t.grad = grads[name]
+        opt.step()
+        b1c, b2c = 1.0 - Adam.BETA1 ** step, 1.0 - Adam.BETA2 ** step
+        for name, g in grads.items():
+            if g is not None:
+                m[name] = Adam.BETA1 * m[name] + (1.0 - Adam.BETA1) * g
+                v[name] = Adam.BETA2 * v[name] + (1.0 - Adam.BETA2) * (g * g)
+                ref[name] = ref[name] - lr * ((m[name] / b1c) / (np.sqrt(v[name] / b2c) + Adam.EPS))
+    for name, t in named:
+        assert t.data.tobytes() == ref[name].tobytes(), name
+    assert opt.m.tobytes() == np.concatenate([m[name].ravel() for name, _ in named]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([v[name].ravel() for name, _ in named]).tobytes()
+
+
+def test_every_parameter_stays_a_view_of_the_buffer(tmp_path):
+    # a parameter whose data were rebound would silently stop training and saving
+    cfg = tiny_config(merge="b_to_f_xattn")
+
+    def assert_aliased(model):
+        for name, t in model.named_tensors():
+            assert np.shares_memory(t.data, model.flat), name
+
+    model = fresh_model(cfg)
+    assert_aliased(model)
+    train_two_stage(model, make_dataset(cfg, n=3), TrainConfig(stage1_steps=2, stage2_steps=2, batch_size=2),
+                    merge=cfg.assembly.merge)
+    assert_aliased(model)
+    save_checkpoint(model, str(tmp_path), stage="both", seed=cfg.seed, config_hash=cfg.config_hash())
+    assert (tmp_path / "params.bin").read_bytes() == model.flat.astype("<f8").tobytes()
+    restored = fresh_model(cfg)
+    restore_model(restored, load_checkpoint_state(str(tmp_path))[1])
+    assert_aliased(restored)
+    assert restored.flat.tobytes() == model.flat.tobytes()
 
 
 def test_checkpoint_roundtrip_and_hash(tmp_path):
